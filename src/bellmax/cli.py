@@ -7,7 +7,8 @@ robustness of the isotropic family), ``gamma`` (operator dumps),
 is JSON on stdout (CSV for threshold grids); diagnostics go to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 validation error,
-3 I/O error, 4 closed form requested but not certified for the state.
+3 I/O error, 4 closed form requested but not certified for the state,
+5 internal error (arithmetic, type or LAPACK failure).
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from .seesaw import SeesawConfig, seesaw_maximize
 from .states import QuantumState, load_state
 from .verify import run_all_checks
 from .violation import (
-    ViolationReport,
     best_k,
     max_violation_closed_form,
     noise_threshold,
+    oracle_report,
     scan_k,
 )
 
@@ -36,6 +37,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_UNCERTIFIED = 4
+EXIT_INTERNAL = 5
 
 #: Published threshold quoted for the 3-dimensional isotropic family;
 #: echoed in threshold reports next to the independently derived value.
@@ -139,29 +141,17 @@ def _print(text: str) -> None:
     sys.stdout.write(text)
 
 
-def _oracle_report(state: QuantumState, k: int, cfg: SeesawConfig) -> ViolationReport:
-    closed = max_violation_closed_form(state, k)
-    result = seesaw_maximize(state, k, cfg)
-    return ViolationReport(
-        value=result.value,
-        tau1=closed.tau1,
-        tau2=closed.tau2,
-        pi_term=closed.pi_term,
-        k=k,
-        formula_valid=closed.formula_valid,
-        violated=bool(result.value - closed.lhv_bound > 1e-12),
-        method="oracle",
-    )
-
-
 def cmd_violation(args) -> int:
     state = _read_state(args.state)
     cfg = SeesawConfig(seed=args.seed)
     if args.k == "best":
-        k_used = best_k(state, cfg=cfg).k
+        # Reuse best_k's reports: the closed form at its k and, for an
+        # uncertified state, the see-saw it has already run.
+        reports = scan_k(state) if state.dim % 2 else None
+        chosen = best_k(state, cfg=cfg, reports=reports)
+        closed = reports[chosen.k - 1] if reports else chosen
     else:
-        k_used = args.k
-    closed = max_violation_closed_form(state, k_used)
+        chosen = closed = max_violation_closed_form(state, args.k)
     manifest = _manifest(args, {"state": args.state, "k": args.k, "method": args.method})
     if args.method == "closed":
         if not closed.formula_valid:
@@ -169,11 +159,12 @@ def cmd_violation(args) -> int:
                 "closed form is not certified for this state; "
                 "use --method oracle or --method both"
             )
-        payload = {"manifest": manifest, **closed.to_dict()}
-    elif args.method == "oracle":
-        payload = {"manifest": manifest, **_oracle_report(state, k_used, cfg).to_dict()}
+        _print(reporting.to_json({"manifest": manifest, **closed.to_dict()}))
+        return EXIT_OK
+    oracle = chosen if chosen.method == "oracle" else oracle_report(state, closed, cfg)
+    if args.method == "oracle":
+        payload = {"manifest": manifest, **oracle.to_dict()}
     else:
-        oracle = _oracle_report(state, k_used, cfg)
         payload = {
             "manifest": manifest,
             "closed_form": closed.to_dict(),
@@ -188,7 +179,7 @@ def cmd_scan_k(args) -> int:
     state = _read_state(args.state)
     cfg = SeesawConfig(seed=args.seed)
     reports = scan_k(state)
-    best = best_k(state, cfg=cfg)
+    best = best_k(state, cfg=cfg, reports=reports)
     payload = {
         "manifest": _manifest(args, {"state": args.state}),
         "N": state.dim,
@@ -312,7 +303,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, TypeError, ArithmeticError) as exc:
+    except (ArithmeticError, TypeError, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError; it must not pass for bad input.
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -1,17 +1,13 @@
 """Small dense complex linear algebra toolkit.
 
-Matrices are plain numpy ``complex128`` arrays in row-major layout. The
-sizes that show up in this package are tiny (a few thousand rows at the
-very most), so the eigensolvers favour robustness over speed: both the
-Hermitian and the real symmetric path run a cyclic Jacobi iteration,
-which is unconditionally stable and delivers near machine precision at
-these scales. Every function here is pure and safe to call from
-multiple threads.
+Matrices are plain numpy ``complex128`` arrays in row-major layout.
+Eigenproblems go to LAPACK through ``numpy.linalg.eigh``/``eigvalsh``;
+the wrappers here add the input checks (square, finite, Hermitian within
+a tolerance) and fix the ordering of the results. Every function here
+is pure and safe to call from multiple threads.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,12 +19,6 @@ HERMITIAN_ATOL = 1e-10
 
 #: Elementwise tolerance for accepting a 3x3 matrix as symmetric.
 SYM3_ATOL = 1e-12
-
-# Jacobi terminates once the off-diagonal Frobenius mass drops below
-# this fraction of the full norm. Quadratic convergence makes the sweep
-# cap generous; hitting it indicates corrupted input.
-_JACOBI_REL_TOL = 1e-12
-_MAX_SWEEPS = 100
 
 
 class TensorSizeError(ValueError):
@@ -73,70 +63,15 @@ def tensor(a, b, *, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
     return np.kron(am, bm)
 
 
-def _offdiagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def _jacobi(mat: np.ndarray, need_vectors: bool):
-    """Cyclic Jacobi sweeps on a Hermitian matrix.
-
-    Returns the (unsorted) real diagonal and, optionally, the accumulated
-    unitary whose columns are eigenvectors. Each rotation first phases the
-    pivot to a real value, then applies the classic symmetric plane
-    rotation, picking the smaller annihilating angle (|t| <= pi/4) for
-    stability.
-    """
-    a = mat.copy()
-    n = a.shape[0]
-    vecs = np.eye(n, dtype=complex) if need_vectors else None
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0 or n == 1:
-        return np.real(np.diag(a)).copy(), vecs
-    # Pivots below this threshold cannot lift the off-diagonal mass back
-    # above the convergence cut, so rotating on them is wasted work.
-    skip = _JACOBI_REL_TOL * scale / (2.0 * n)
-    for _ in range(_MAX_SWEEPS):
-        if _offdiagonal_norm(a) <= _JACOBI_REL_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                r = abs(a[p, q])
-                if r <= skip:
-                    continue
-                phase = a[p, q] / r
-                theta = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if theta >= 0.0:
-                    tan_t = -1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    tan_t = 1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(1.0 + tan_t * tan_t)
-                s = tan_t * c
-                u11 = c * phase
-                u12 = -s * phase
-                # a <- U^H a U with U = [[u11, u12], [s, c]] on plane (p, q)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = u11 * col_p + s * col_q
-                a[:, q] = u12 * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = np.conj(u11) * row_p + s * row_q
-                a[q, :] = np.conj(u12) * row_p + c * row_q
-                # Zero by construction; writing it keeps rounding from
-                # polluting the convergence bookkeeping.
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                if need_vectors:
-                    v_p = vecs[:, p].copy()
-                    v_q = vecs[:, q].copy()
-                    vecs[:, p] = u11 * v_p + s * v_q
-                    vecs[:, q] = u12 * v_p + c * v_q
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge")
-    return np.real(np.diag(a)).copy(), vecs
+def _hermitian(m, atol: float) -> np.ndarray:
+    """Validated square, finite, Hermitian input, symmetrised exactly."""
+    a = _as_square(m, "matrix")
+    asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    if asym > atol:
+        raise NonHermitianError(
+            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {atol:.1e}"
+        )
+    return 0.5 * (a + a.conj().T)
 
 
 def hermitian_eig(m, *, atol: float = HERMITIAN_ATOL):
@@ -145,37 +80,19 @@ def hermitian_eig(m, *, atol: float = HERMITIAN_ATOL):
     Returns ``(values, vectors)`` with real eigenvalues in ascending order
     and the matching orthonormal eigenvectors as columns of a unitary.
     """
-    a = _as_square(m, "matrix")
-    asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if asym > atol:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {atol:.1e}"
-        )
-    a = 0.5 * (a + a.conj().T)
-    values, vectors = _jacobi(a, need_vectors=True)
-    order = np.argsort(values, kind="stable")
-    return values[order], vectors[:, order]
+    return np.linalg.eigh(_hermitian(m, atol))
 
 
 def hermitian_eigenvalues(m, *, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix."""
-    a = _as_square(m, "matrix")
-    asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if asym > atol:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {atol:.1e}"
-        )
-    a = 0.5 * (a + a.conj().T)
-    values, _ = _jacobi(a, need_vectors=False)
-    return np.sort(values, kind="stable")
+    return np.linalg.eigvalsh(_hermitian(m, atol))
 
 
 def sym3_eig(m, *, atol: float = SYM3_ATOL):
     """Eigen-decomposition of a real symmetric 3x3 matrix.
 
     Returns ``(values, vectors)`` with eigenvalues in descending order and
-    real orthonormal eigenvectors as columns. Exact for diagonal input
-    (no rotation is ever applied).
+    real orthonormal eigenvectors as columns. Exact for diagonal input.
     """
     a = np.asarray(m, dtype=float)
     if a.shape != (3, 3):
@@ -183,11 +100,8 @@ def sym3_eig(m, *, atol: float = SYM3_ATOL):
     asym = float(np.max(np.abs(a - a.T)))
     if asym > atol:
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
-    a = 0.5 * (a + a.T)
-    values, vectors = _jacobi(a.astype(complex), need_vectors=True)
-    order = np.argsort(values, kind="stable")[::-1]
-    # Real input and real pivot phases keep the rotations real throughout.
-    return values[order], np.real(vectors[:, order])
+    values, vectors = np.linalg.eigh(0.5 * (a + a.T))
+    return values[::-1], vectors[:, ::-1]
 
 
 def sym3_eigenvalues(m, *, atol: float = SYM3_ATOL) -> tuple[float, float, float]:

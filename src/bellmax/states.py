@@ -169,14 +169,24 @@ def isotropic_to_density(state: IsotropicState) -> DensityMatrix:
 
 
 def as_density(state: QuantumState) -> DensityMatrix:
-    """Convert any state description to its density matrix."""
+    """Convert any state description to its density matrix.
+
+    Raises ``DomainError``, before allocating anything, when the
+    ``N^2 x N^2`` matrix would exceed ``linalg.MAX_TENSOR_DIM`` rows.
+    """
     if isinstance(state, DensityMatrix):
         return state
-    if isinstance(state, SchmidtState):
-        return schmidt_to_density(state)
+    if not isinstance(state, (SchmidtState, IsotropicState)):
+        raise TypeError(f"not a quantum state: {type(state).__name__}")
+    size = state.dim * state.dim
+    if size > linalg.MAX_TENSOR_DIM:
+        raise DomainError(
+            f"N={state.dim} needs a {size}x{size} density matrix, "
+            f"cap is {linalg.MAX_TENSOR_DIM}"
+        )
     if isinstance(state, IsotropicState):
         return isotropic_to_density(state)
-    raise TypeError(f"not a quantum state: {type(state).__name__}")
+    return schmidt_to_density(state)
 
 
 def partial_trace(state: DensityMatrix, keep: str = "a") -> np.ndarray:

@@ -16,14 +16,14 @@ always satisfy this).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .linalg import sym3_eig, sym3_eigenvalues
 from .operators import BellSettings, make_gamma_set
-from .states import IsotropicState, QuantumState, SchmidtState, as_density
+from .states import IsotropicState, QuantumState, as_density
 
 LHV_BOUND = 2.0
 
@@ -154,17 +154,13 @@ def max_violation_closed_form(state: QuantumState, k: int) -> ViolationReport:
 
     ``formula_valid`` records whether the closed form is certified for
     this state: always for even dimension, and for odd dimension exactly
-    when the projector cross terms vanish (in particular for every
+    when the projector cross terms vanish (as they do exactly for every
     Schmidt state). An uncertified state is not an error; the report
     simply flags that an oracle value should be preferred.
     """
     corr = correlation_data(state, k)
     cross = max(float(np.max(np.abs(corr.g))), float(np.max(np.abs(corr.h))))
-    certified = (
-        corr.dim % 2 == 0
-        or cross <= CROSS_TERM_ATOL
-        or isinstance(state, SchmidtState)
-    )
+    certified = corr.dim % 2 == 0 or cross <= CROSS_TERM_ATOL
     value = 2.0 * math.sqrt(corr.tau1 + corr.tau2) + 2.0 * corr.p
     return ViolationReport(
         value=value,
@@ -184,46 +180,44 @@ def scan_k(state: QuantumState) -> list[ViolationReport]:
     return [max_violation_closed_form(state, k) for k in range(1, dim + 1)]
 
 
-def best_k(state: QuantumState, strategy: str = "all", cfg=None) -> ViolationReport:
+def oracle_report(
+    state: QuantumState, closed: ViolationReport, cfg=None
+) -> ViolationReport:
+    """See-saw value at ``closed.k``, next to that index's closed-form data.
+
+    ``tau1``, ``tau2``, ``pi_term`` and ``formula_valid`` are carried over
+    from the closed-form report ``closed`` of the same state.
+    """
+    from .seesaw import seesaw_maximize
+
+    value = seesaw_maximize(state, closed.k, cfg).value
+    return replace(
+        closed,
+        value=value,
+        violated=bool(value - LHV_BOUND > VIOLATION_EPS),
+        method="oracle",
+    )
+
+
+def best_k(state: QuantumState, cfg=None, reports=None) -> ViolationReport:
     """Report for the index ``k`` with the largest certified value.
 
     Ties break toward the smallest ``k``. For even dimension ``k`` is
-    inert, so the single-index result is returned directly (likewise for
-    ``strategy="single"``). If no index certifies the closed form for an
-    odd-dimension mixed state, the best see-saw value is returned with
-    ``formula_valid=False`` and ``method="oracle"``.
+    inert, so the ``k = 1`` result is returned directly. If no index
+    certifies the closed form for an odd-dimension mixed state, the best
+    see-saw value (``cfg`` configures it) is returned with
+    ``formula_valid=False`` and ``method="oracle"``. ``reports`` are the
+    ``scan_k(state)`` reports when the caller already has them.
     """
-    if strategy not in ("all", "single"):
-        raise ValueError(f"strategy must be 'all' or 'single', got {strategy!r}")
-    if state.dim % 2 == 0 or strategy == "single":
-        return max_violation_closed_form(state, 1)
-
-    reports = scan_k(state)
-    best = None
-    for rep in reports:  # ascending k; strict > keeps the smallest on ties
-        if rep.formula_valid and (best is None or rep.value > best.value):
-            best = rep
-    if best is not None:
-        return best
-
-    from .seesaw import SeesawConfig, seesaw_maximize
-
-    cfg = cfg if cfg is not None else SeesawConfig()
-    for k, rep in enumerate(reports, start=1):
-        result = seesaw_maximize(state, k, cfg)
-        candidate = ViolationReport(
-            value=result.value,
-            tau1=rep.tau1,
-            tau2=rep.tau2,
-            pi_term=rep.pi_term,
-            k=k,
-            formula_valid=False,
-            violated=bool(result.value - LHV_BOUND > VIOLATION_EPS),
-            method="oracle",
-        )
-        if best is None or candidate.value > best.value:
-            best = candidate
-    return best
+    if state.dim % 2 == 0:
+        return reports[0] if reports else max_violation_closed_form(state, 1)
+    reports = reports if reports is not None else scan_k(state)
+    certified = [rep for rep in reports if rep.formula_valid]
+    if certified:
+        # max keeps the first of equal values, i.e. the smallest k
+        return max(certified, key=lambda rep: rep.value)
+    return max((oracle_report(state, rep, cfg) for rep in reports),
+               key=lambda rep: rep.value)
 
 
 @dataclass(frozen=True)

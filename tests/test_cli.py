@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bellmax import cli
-from bellmax.states import SchmidtState
+from bellmax.states import SchemaError, SchmidtState
 
 ROOT2 = math.sqrt(2.0)
 HALF = 1.0 / ROOT2
@@ -109,6 +109,10 @@ def test_exit_validation_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "violation", "--state", str(path))
     assert code == 2
     assert "sum to 1" in err
+    path.write_text('{"type":"isotropic","N":65,"x":0}')
+    code, _, err = run_cli(capsys, "violation", "--state", str(path))
+    assert code == 2
+    assert "cap is 4096" in err
 
 
 def test_exit_uncertified_closed(capsys, uncertified):
@@ -240,6 +244,21 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["failed"] == 1
     assert "doomed" in err and "synthetic counterexample" in err
+
+
+def test_internal_error_exits_5(capsys, monkeypatch):
+    # LinAlgError subclasses ValueError but is no validation error.
+    for error, expected in (
+        (np.linalg.LinAlgError("Eigenvalues did not converge"), 5),
+        (SchemaError("field 'N' must be an integer"), 2),
+    ):
+        def failing_checks(seed, samples, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, "run_all_checks", failing_checks)
+        code, out, err = run_cli(capsys, "verify", "--no-timestamp")
+        assert code == expected
+        assert out == "" and str(error) in err
 
 
 def test_verify_deterministic_bytes(capsys):

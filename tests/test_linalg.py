@@ -132,6 +132,8 @@ def test_eigensum_matches_trace_and_residuals():
         scale = np.linalg.norm(m)
         assert abs(values.sum() - np.trace(m).real) <= 1e-8 * max(scale, 1.0)
         assert list(values) == sorted(values)
+        gram = vectors.conj().T @ vectors
+        assert np.max(np.abs(gram - np.eye(n))) <= 1e-12 * n
         for idx in range(n):
             residual = np.linalg.norm(m @ vectors[:, idx] - values[idx] * vectors[:, idx])
             assert residual <= 1e-8 * max(scale, 1.0)
@@ -192,6 +194,8 @@ def test_sym3_eigenvectors():
         r = rng.normal(size=(3, 3))
         m = r.T @ r
         values, vectors = sym3_eig(m)
+        assert values[0] >= values[1] >= values[2]
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(3))) <= 1e-12
         for idx in range(3):
             residual = np.linalg.norm(m @ vectors[:, idx] - values[idx] * vectors[:, idx])
             assert residual <= 1e-10 * max(np.linalg.norm(m), 1.0)

@@ -149,6 +149,11 @@ def test_as_density_dispatch():
         assert rho.dim == 2
     with pytest.raises(TypeError):
         as_density("nope")
+    # N = 65 is the first size whose N^2 x N^2 matrix exceeds the cap;
+    # the check fires before anything is allocated.
+    for state in (IsotropicState(65, 0.0), SchmidtState(65, (1.0,) + (0.0,) * 64)):
+        with pytest.raises(DomainError, match="cap is 4096"):
+            as_density(state)
 
 
 # -------------------------------------------------------------- loading
@@ -200,13 +205,19 @@ def test_load_rejects_non_integer_dim():
 
 def test_load_rejects_non_psd_density():
     # Hermitian, unit trace, but one negative eigenvalue
-    mat = np.diag([1.5, -0.5, 0.0, 0.0])
-    doc = json.dumps({
-        "type": "density", "N": 2,
-        "re": mat.tolist(), "im": np.zeros((4, 4)).tolist(),
-    })
-    with pytest.raises(PositivityError, match="minimum eigenvalue"):
-        load_state(doc)
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+    spectrum = np.full(64, 1.02 / 63)
+    spectrum[0] = -0.02
+    rotated = (q * spectrum) @ q.conj().T
+    for dim, mat in ((2, np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)),
+                     (8, rotated)):
+        doc = json.dumps({
+            "type": "density", "N": dim,
+            "re": mat.real.tolist(), "im": mat.imag.tolist(),
+        })
+        with pytest.raises(PositivityError, match="minimum eigenvalue"):
+            load_state(doc)
 
 
 def test_load_error_codes_distinct():

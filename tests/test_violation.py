@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellmax import sampling
 from bellmax.linalg import tensor
@@ -98,6 +100,22 @@ def test_correlation_entries_bounded():
         assert corr.tau1 <= 9.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((3, 5, 7, 9)).flatmap(
+    lambda dim: st.lists(st.just(0.0) | st.floats(-1, 1), min_size=dim, max_size=dim)
+).filter(lambda cs: math.fsum(c * c for c in cs) > 0.05))
+def test_odd_schmidt_cross_terms_vanish_exactly(raw):
+    # The generators have an empty kth row and column, so every cross
+    # term of a Schmidt state is a sum of exact zeros: certification
+    # needs no special case for Schmidt states.
+    norm = math.sqrt(math.fsum(c * c for c in raw))
+    state = SchmidtState(len(raw), tuple(c / norm for c in raw))
+    for k in range(1, state.dim + 1):
+        corr = correlation_data(state, k)
+        assert np.all(corr.g == 0.0) and np.all(corr.h == 0.0)
+        assert max_violation_closed_form(state, k).formula_valid
+
+
 def test_correlation_k_range():
     with pytest.raises(ValueError, match="k must be in"):
         correlation_data(EXAMPLE_STATE, 4)
@@ -182,13 +200,6 @@ def test_best_k_even_is_single():
     rep = best_k(IsotropicState(4, 0.0))
     assert rep.k == 1
     assert rep.value == pytest.approx(2 * ROOT2, abs=1e-12)
-
-
-def test_best_k_single_strategy():
-    rep = best_k(EXAMPLE_STATE, strategy="single")
-    assert rep.k == 1
-    with pytest.raises(ValueError, match="strategy"):
-        best_k(EXAMPLE_STATE, strategy="???")
 
 
 def test_scan_k_covers_all_indices():
