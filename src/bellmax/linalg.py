@@ -45,8 +45,8 @@ def _as_square(m, name: str) -> np.ndarray:
     return a
 
 
-def tensor(a, b, *, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
-    """Kronecker product ``a (x) b`` with a guard on the result size.
+def tensor(a, b) -> np.ndarray:
+    """Kronecker product ``a (x) b``, at most ``MAX_TENSOR_DIM`` on a side.
 
     The first factor sits on the coarse index:
     ``tensor(a, b)[i*p + k, j*q + l] == a[i, j] * b[k, l]`` for ``b`` of
@@ -56,9 +56,9 @@ def tensor(a, b, *, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
     bm = _as_matrix(b, "b")
     rows = am.shape[0] * bm.shape[0]
     cols = am.shape[1] * bm.shape[1]
-    if rows > max_dim or cols > max_dim:
+    if rows > MAX_TENSOR_DIM or cols > MAX_TENSOR_DIM:
         raise TensorSizeError(
-            f"tensor result would be {rows}x{cols}, cap is {max_dim}"
+            f"tensor result would be {rows}x{cols}, cap is {MAX_TENSOR_DIM}"
         )
     return np.kron(am, bm)
 
@@ -71,7 +71,7 @@ def _hermitian(m, atol: float) -> np.ndarray:
         raise NonHermitianError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {atol:.1e}"
         )
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * a + 0.5 * a.conj().T  # halve first: the sum may overflow
 
 
 def hermitian_eig(m, *, atol: float = HERMITIAN_ATOL):

@@ -47,10 +47,16 @@ def make_gamma_set(dim: int, k: int = 1) -> GammaSet:
     ``k`` is 1-based. For even ``dim`` it is accepted but inert (the
     projector is the zero matrix). For odd ``dim`` the surviving indices
     are paired consecutively in ascending order, e.g. dim 5 with k=3
-    pairs (1,2) and (4,5).
+    pairs (1,2) and (4,5). Raises ``ValueError`` before allocating when
+    the two-party dimension ``dim^2`` exceeds ``linalg.MAX_TENSOR_DIM``.
     """
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
+    if dim * dim > linalg.MAX_TENSOR_DIM:
+        raise ValueError(
+            f"N={dim} gives {dim * dim}x{dim * dim} Bell operators, "
+            f"cap is {linalg.MAX_TENSOR_DIM}"
+        )
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
     gx = np.zeros((dim, dim), dtype=complex)

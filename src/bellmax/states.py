@@ -217,7 +217,10 @@ def _require_int(raw: dict, field: str) -> int:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where} must be a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise SchemaError(f"{where} must be finite")
     return out
@@ -248,12 +251,12 @@ def load_state(document: str) -> QuantumState:
     """
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("state document must be a JSON object")
     kind = raw.get("type")
-    if kind not in _ALLOWED_FIELDS:
+    if not isinstance(kind, str) or kind not in _ALLOWED_FIELDS:
         raise SchemaError(
             f"field 'type' must be one of {sorted(_ALLOWED_FIELDS)}, got {kind!r}"
         )

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .linalg import sym3_eig, sym3_eigenvalues
 from .operators import BellSettings, make_gamma_set
-from .states import IsotropicState, QuantumState, as_density
+from .states import DensityMatrix, IsotropicState, QuantumState, as_density
 
 LHV_BOUND = 2.0
 
@@ -77,47 +76,37 @@ class ViolationReport:
         }
 
 
-def _real_trace(value: complex) -> float:
-    # Traces of Hermitian products are real; tolerate rounding only.
-    if abs(value.imag) > 1e-9:
-        raise ArithmeticError(f"expected a real trace, got {value!r}")
-    return float(value.real)
-
-
 def correlation_data(state: QuantumState, k: int) -> CorrelationData:
     """Exact generator statistics ``R``, ``g``, ``h``, ``p`` for (state, k).
 
-    Traces are evaluated by tensor contraction on the reshaped density
-    matrix, so no dim^2 x dim^2 operator is ever materialised.
+    With ``O = (gx, gy, gz, pi)`` the moments ``T[m, n] = Tr[rho O_m (x) O_n]``
+    form one 4x4 matrix whose blocks are ``R = T[:3, :3]``, ``g = T[:3, 3]``,
+    ``h = T[3, :3]`` and ``p = T[3, 3]``. It comes from two tensor
+    contractions of the reshaped density matrix, so no dim^2 x dim^2
+    operator is ever materialised. A ``DensityMatrix`` is used as given;
+    any other state is converted once.
     """
-    rho = as_density(state)
+    rho = state if isinstance(state, DensityMatrix) else as_density(state)
     n = rho.dim
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n} for this state, got {k}")
     gamma = make_gamma_set(n, k)
-    four = rho.rho.reshape(n, n, n, n)
-    ops = (gamma.gx, gamma.gy, gamma.gz, gamma.pi)
+    ops = np.stack((gamma.gx, gamma.gy, gamma.gz, gamma.pi))
     # Tr[rho (A x B)] = sum_{ikjl} rho[ik, jl] A[j, i] B[l, k]
-    left = [np.einsum("ikjl,ji->kl", four, op) for op in ops]
-
-    r = np.empty((3, 3), dtype=float)
-    for row in range(3):
-        for col in range(3):
-            r[row, col] = _real_trace(complex(np.einsum("kl,lk->", left[row], ops[col])))
-    g = np.array(
-        [_real_trace(complex(np.einsum("kl,lk->", left[row], gamma.pi))) for row in range(3)]
-    )
-    h = np.array(
-        [_real_trace(complex(np.einsum("kl,lk->", left[3], ops[col]))) for col in range(3)]
-    )
-    p = _real_trace(complex(np.einsum("kl,lk->", left[3], gamma.pi)))
+    left = np.einsum("ikjl,mji->mkl", rho.rho.reshape(n, n, n, n), ops)
+    moments = np.einsum("mkl,nlk->mn", left, ops)
+    # Traces of Hermitian products are real; tolerate rounding only.
+    imag = float(np.max(np.abs(moments.imag)))
+    if imag > 1e-9:
+        raise ArithmeticError(f"expected real traces, got imaginary parts up to {imag:.3e}")
+    t = moments.real
+    r, g, h = (np.array(block) for block in (t[:3, :3], t[:3, 3], t[3, :3]))
+    for block in (r, g, h):
+        block.setflags(write=False)
 
     tau1, tau2, _ = sym3_eigenvalues(r.T @ r)
-    r.setflags(write=False)
-    g.setflags(write=False)
-    h.setflags(write=False)
     return CorrelationData(
-        dim=n, k=k, r=r, g=g, h=h, p=p,
+        dim=n, k=k, r=r, g=g, h=h, p=float(t[3, 3]),
         tau1=max(tau1, 0.0), tau2=max(tau2, 0.0),
     )
 
@@ -176,8 +165,8 @@ def max_violation_closed_form(state: QuantumState, k: int) -> ViolationReport:
 
 def scan_k(state: QuantumState) -> list[ViolationReport]:
     """Closed-form report for every measurement index ``k`` in 1..N."""
-    dim = state.dim
-    return [max_violation_closed_form(state, k) for k in range(1, dim + 1)]
+    rho = as_density(state)
+    return [max_violation_closed_form(rho, k) for k in range(1, rho.dim + 1)]
 
 
 def oracle_report(
@@ -224,60 +213,27 @@ def best_k(state: QuantumState, cfg=None, reports=None) -> ViolationReport:
 class ThresholdResult:
     """Noise weight at which the value crosses the classical bound."""
 
-    x_star: float | None
+    x_star: float
     value_at_zero: float
     k_used: int
 
 
-def noise_threshold(
-    dim: int,
-    k: int | str = "best",
-    tol: float = 1e-9,
-    max_iter: int = 60,
-    state_family: Callable[[float], QuantumState] | None = None,
-) -> ThresholdResult:
-    """Largest noise weight below which the family still violates.
+def noise_threshold(dim: int, k: int | str = "best") -> ThresholdResult:
+    """Isotropic noise weight ``x*`` at which the closed form reaches 2.
 
-    Bisects ``value(x) = 2`` on [0, 1] to within ``tol``, exploiting that
-    the value is non-increasing in the noise weight. The default family
-    is the isotropic one; any substitute must keep the closed form
-    certified. Returns ``x_star=None`` when even the noiseless member
-    does not violate.
+    White noise of weight ``x`` scales ``R`` by ``1 - x`` and leaves ``p``
+    affine in ``x``, so at a fixed ``k`` the value is exactly the line
+    ``(1 - x) v0 + x v1`` between the noiseless value ``v0 > 2`` and the
+    fully mixed value ``v1 < 2`` (true for every N >= 2). The crossing is
+    ``x* = (v0 - 2) / (v0 - v1)``; the family violates for ``x < x*``.
     """
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
-    if state_family is None:
-        def state_family(x: float) -> QuantumState:
-            return IsotropicState(dim, x)
-
-    if k == "best":
-        k_used = best_k(state_family(0.0)).k
-    else:
-        k_used = int(k)
-        if not 1 <= k_used <= dim:
-            raise ValueError(f"k must be in 1..{dim}, got {k_used}")
-
-    def value_at(x: float) -> float:
-        rep = max_violation_closed_form(state_family(x), k_used)
-        if not rep.formula_valid:
-            raise ValueError(
-                "closed form is not certified for this family; "
-                "thresholds require vanishing cross terms"
-            )
-        return rep.value
-
-    value_zero = value_at(0.0)
-    if value_zero - LHV_BOUND <= VIOLATION_EPS:
-        return ThresholdResult(None, value_zero, k_used)
-    if value_at(1.0) - LHV_BOUND > VIOLATION_EPS:
-        return ThresholdResult(1.0, value_zero, k_used)
-    lo, hi = 0.0, 1.0
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if value_at(mid) - LHV_BOUND > VIOLATION_EPS:
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdResult(0.5 * (lo + hi), value_zero, k_used)
+    clean = IsotropicState(dim, 0.0)  # rejects dim < 2
+    zero = best_k(clean) if k == "best" else max_violation_closed_form(clean, int(k))
+    one = max_violation_closed_form(IsotropicState(dim, 1.0), zero.k)
+    if not (zero.formula_valid and one.formula_valid):
+        raise ValueError(
+            "closed form is not certified for this family; "
+            "thresholds require vanishing cross terms"
+        )
+    return ThresholdResult((zero.value - LHV_BOUND) / (zero.value - one.value),
+                           zero.value, zero.k)

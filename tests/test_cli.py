@@ -203,6 +203,10 @@ def test_gamma_domain_error(capsys):
     code, _, err = run_cli(capsys, "gamma", "--N", "3", "--k", "7", "--axis", "x")
     assert code == 2
     assert "k must be in" in err
+    # N^2 = 4225 exceeds the operator budget; rejected before allocating
+    code, _, err = run_cli(capsys, "gamma", "--N", "65", "--axis", "x")
+    assert code == 2
+    assert "cap is 4096" in err
 
 
 # ------------------------------------------------------------- optimize

@@ -60,8 +60,8 @@ def test_tensor_block_ordering():
 def test_tensor_size_cap():
     big = np.eye(100, dtype=complex)
     with pytest.raises(TensorSizeError, match="cap"):
-        tensor(big, big, max_dim=4096)
-    tensor(big, np.eye(40), max_dim=4096)  # 4000 <= 4096 is fine
+        tensor(big, big)
+    tensor(big, np.eye(40))  # 4000 <= 4096 is fine
 
 
 def test_tensor_rejects_nonfinite():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellmax.linalg import hermitian_eigenvalues
@@ -15,6 +15,7 @@ from bellmax.states import (
     PositivityError,
     SchemaError,
     SchmidtState,
+    StateValidationError,
     as_density,
     isotropic_to_density,
     load_state,
@@ -210,8 +211,11 @@ def test_load_rejects_non_psd_density():
     spectrum = np.full(64, 1.02 / 63)
     spectrum[0] = -0.02
     rotated = (q * spectrum) @ q.conj().T
+    # Hermitian and unit trace too, with entries whose sum a + a^H overflows
+    overflowing = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    overflowing[0, 1], overflowing[1, 0] = 1e308j, -1e308j
     for dim, mat in ((2, np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)),
-                     (8, rotated)):
+                     (8, rotated), (2, overflowing)):
         doc = json.dumps({
             "type": "density", "N": dim,
             "re": mat.real.tolist(), "im": mat.imag.tolist(),
@@ -232,3 +236,32 @@ def test_load_error_codes_distinct():
             load_state(doc)
         seen[expected] = info.value.code
     assert seen == {k: k for k in cases}
+
+
+_STATE_FIELDS = ("type", "N", "coeffs", "re", "im", "x")
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(("schmidt", "density", "isotropic")) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(_STATE_FIELDS) | st.text(max_size=4),
+                      inner, max_size=6),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES.map(json.dumps))
+@example('{"type": "density", "N": 2, "re": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], '
+         '[0, 0, 0, 0]], "im": [[0, 1e308, 0, 0], [-1e308, 0, 0, 0], [0, 0, 0, 0], '
+         '[0, 0, 0, 0]]}')  # Hermitian, unit trace; a + a^H overflows
+@example("[" * 200_000)  # nesting deeper than the recursion limit
+@example("1" * 5000)  # more digits than int() converts
+@example('{"type": [], "N": 2}')  # unhashable type field
+@example('{"type": "isotropic", "N": 2, "x": 1' + "0" * 400 + "}")  # int beyond float
+def test_load_state_any_json_gives_state_or_typed_error(document):
+    try:
+        state = load_state(document)
+    except StateValidationError:
+        return
+    assert isinstance(state, (SchmidtState, DensityMatrix, IsotropicState))
+

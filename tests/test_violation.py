@@ -209,11 +209,18 @@ def test_scan_k_covers_all_indices():
 
 # ------------------------------------------------------------- threshold
 
+def isotropic_line(n: int) -> tuple[float, float]:
+    """Analytic ``(a, c)``: closed-form values of the isotropic family at x = 0, 1."""
+    if n % 2 == 0:
+        return 2 * ROOT2, 0.0
+    return 2 * ROOT2 * (n - 1) / n + 2 / n, 2 / (n * n)
+
+
 def test_threshold_even():
-    expected = 1.0 - 1.0 / ROOT2
-    for n in (2, 4):
+    for n in range(2, 13, 2):
+        a, c = isotropic_line(n)  # (a - 2) / (a - c) = 1 - 1/sqrt(2)
         res = noise_threshold(n)
-        assert res.x_star == pytest.approx(expected, abs=2e-9)
+        assert res.x_star == pytest.approx((a - 2) / (a - c), abs=1e-12)
         assert res.value_at_zero == pytest.approx(2 * ROOT2, abs=1e-12)
 
 
@@ -222,8 +229,16 @@ def test_threshold_n3_derived():
     # x = (3 sqrt(2) - 3) / (3 sqrt(2) + 1)
     analytic = (3 * ROOT2 - 3) / (3 * ROOT2 + 1)
     res = noise_threshold(3, k="best")
-    assert res.x_star == pytest.approx(analytic, abs=2e-9)
+    assert res.x_star == pytest.approx(analytic, abs=1e-12)
     assert res.k_used == 1  # all k equivalent by symmetry; smallest wins
+    for n in range(3, 13, 2):
+        a, c = isotropic_line(n)
+        assert noise_threshold(n).k_used == 1
+        for k in range(1, n + 1):
+            res = noise_threshold(n, k=k)
+            assert res.x_star == pytest.approx((a - 2) / (a - c), abs=1e-12)
+            crossing = max_violation_closed_form(IsotropicState(n, res.x_star), k)
+            assert crossing.value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_threshold_monotone_grid():
@@ -234,16 +249,6 @@ def test_threshold_monotone_grid():
         ]
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-12)
-
-
-def test_threshold_no_violation_marker():
-    def family(x):
-        # noiseless member is a product state: never violates
-        return IsotropicState(3, 1.0 - (1.0 - x) * 1e-6)
-
-    res = noise_threshold(3, k=1, state_family=family)
-    assert res.x_star is None
-    assert res.value_at_zero <= 2.0
 
 
 def test_threshold_result_type():
