@@ -45,6 +45,9 @@ EXIT_INTERNAL = 5
 #: which points to an offset in how dimensions are labelled.
 PUBLISHED_N3_THRESHOLD = 0.2566
 
+#: Largest ``threshold --grid``; checked before the grid is allocated.
+MAX_GRID_POINTS = 100_001
+
 
 class UncertifiedFormulaError(RuntimeError):
     """Closed-form output was requested for a state it does not certify."""
@@ -148,9 +151,9 @@ def cmd_violation(args) -> int:
     if args.k == "best":
         # Reuse best_k's reports: the closed form at its k and, for an
         # uncertified state, the see-saw it has already run.
-        reports = scan_k(state) if state.dim % 2 else None
+        reports = scan_k(state)
         chosen = best_k(state, cfg=cfg, reports=reports)
-        closed = reports[chosen.k - 1] if reports else chosen
+        closed = reports[chosen.k - 1]
     else:
         chosen = closed = max_violation_closed_form(state, args.k)
     manifest = _manifest(args, {"state": args.state, "k": args.k, "method": args.method})
@@ -192,20 +195,15 @@ def cmd_scan_k(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    if args.grid is not None and not 2 <= args.grid <= MAX_GRID_POINTS:
+        raise ValueError(f"--grid needs 2..{MAX_GRID_POINTS} points, got {args.grid}")
     result = noise_threshold(args.N, k=args.k)
     grid_rows = None
     if args.grid is not None:
-        if args.grid < 2:
-            raise ValueError(f"--grid needs at least 2 points, got {args.grid}")
-        from .states import IsotropicState
-
+        # The grid lies on the threshold's exact line: no closed form here.
         xs = np.linspace(0.0, 1.0, args.grid)
-        grid_rows = [
-            (float(x),
-             max_violation_closed_form(IsotropicState(args.N, float(x)), result.k_used).value,
-             result.k_used)
-            for x in xs
-        ]
+        values = (1.0 - xs) * result.value_at_zero + xs * result.value_at_one
+        grid_rows = [(float(x), float(v), result.k_used) for x, v in zip(xs, values)]
     if args.output == "csv":
         if grid_rows is None:
             raise ValueError("csv output requires --grid")

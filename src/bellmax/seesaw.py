@@ -62,21 +62,20 @@ def bell_value(state: QuantumState, settings: BellSettings) -> float:
     return float(complex(np.einsum("rc,cr->", rho.rho, operator)).real)
 
 
+def _value(corr: CorrelationData, a1, a2, b1, b2) -> float:
+    """``a1.R(b1+b2) + a2.R(b1-b2) + 2 a1.g + 2 b1.h + 2p``."""
+    r = corr.r
+    return float(a1 @ (r @ (b1 + b2)) + a2 @ (r @ (b1 - b2))
+                 + 2.0 * (a1 @ corr.g) + 2.0 * (b1 @ corr.h) + 2.0 * corr.p)
+
+
 def bell_value_from_correlations(corr: CorrelationData, settings: BellSettings) -> float:
     """Same expectation from 3x3 correlation data.
 
     Identity: ``a1.R(b1+b2) + a2.R(b1-b2) + 2 a1.g + 2 b1.h + 2p`` agrees
     with the direct trace to rounding; the test suite asserts it.
     """
-    rb_plus = corr.r @ (settings.b1 + settings.b2)
-    rb_minus = corr.r @ (settings.b1 - settings.b2)
-    return float(
-        settings.a1 @ rb_plus
-        + settings.a2 @ rb_minus
-        + 2.0 * (settings.a1 @ corr.g)
-        + 2.0 * (settings.b1 @ corr.h)
-        + 2.0 * corr.p
-    )
+    return _value(corr, settings.a1, settings.a2, settings.b1, settings.b2)
 
 
 def _project_start(vectors, constrain_y: bool):
@@ -108,15 +107,8 @@ def _ascend(corr: CorrelationData, start, cfg: SeesawConfig, constrain_y: bool):
     rt = r.T
     g2 = 2.0 * corr.g
     h2 = 2.0 * corr.h
-    p2 = 2.0 * corr.p
     a1, a2, b1, b2 = (np.array(v, dtype=float) for v in start)
-
-    def objective() -> float:
-        return float(
-            a1 @ (r @ (b1 + b2)) + a2 @ (r @ (b1 - b2)) + a1 @ g2 + b1 @ h2 + p2
-        )
-
-    current = objective()
+    current = _value(corr, a1, a2, b1, b2)
     history = [current]
     converged = False
     iterations = 0
@@ -125,7 +117,7 @@ def _ascend(corr: CorrelationData, start, cfg: SeesawConfig, constrain_y: bool):
         a2 = _step(r @ (b1 - b2), a2, constrain_y)
         b1 = _step(rt @ (a1 + a2) + h2, b1, constrain_y)
         b2 = _step(rt @ (a1 - a2), b2, constrain_y)
-        updated = objective()
+        updated = _value(corr, a1, a2, b1, b2)
         history.append(updated)
         if abs(updated - current) <= cfg.tol:
             current = updated
@@ -156,14 +148,12 @@ def seesaw_maximize(
     rng = np.random.default_rng(cfg.seed)
 
     warm = optimal_settings(corr)
-    starts = [(warm.a1, warm.a2, warm.b1, warm.b2)]
-    for _ in range(cfg.restarts - 1):
-        starts.append(tuple(unit3(rng) for _ in range(4)))
-    starts = [_project_start(vectors, constrain_y) for vectors in starts]
-
     best = None
-    for vectors in starts:
-        run = _ascend(corr, vectors, cfg, constrain_y)
+    for restart in range(cfg.restarts):
+        # _ascend draws nothing, so drawing each start here keeps the order.
+        vectors = ((warm.a1, warm.a2, warm.b1, warm.b2) if restart == 0
+                   else tuple(unit3(rng) for _ in range(4)))
+        run = _ascend(corr, _project_start(vectors, constrain_y), cfg, constrain_y)
         if best is None or run[0] > best[0]:
             best = run
     value, (a1, a2, b1, b2), iterations, converged, _ = best

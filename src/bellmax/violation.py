@@ -7,10 +7,10 @@ scalar ``p = Tr[rho pi (x) pi]``, the value at settings (a1, a2, b1, b2)
 is ``a1.R(b1+b2) + a2.R(b1-b2) + 2 a1.g + 2 b1.h + 2p``. When the cross
 vectors vanish, maximising over unit vectors gives the closed form
 ``2 sqrt(tau1 + tau2) + 2p`` where tau1 >= tau2 are the two largest
-eigenvalues of ``R^T R``. For even dimension the projector terms are
-identically zero and the closed form holds for every state; for odd
-dimension it is certified when the cross vectors vanish (Schmidt states
-always satisfy this).
+eigenvalues of ``R^T R``. For even dimension the projector is the zero
+matrix, so the cross vectors are exactly zero, ``k`` is inert and the
+closed form holds for every state; for odd dimension it is certified
+when the cross vectors vanish (Schmidt states always satisfy this).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ LHV_BOUND = 2.0
 #: violation (separates genuine violation from rounding).
 VIOLATION_EPS = 1e-12
 
-#: Max cross-term magnitude for certifying the closed form at odd dimension.
+#: Max cross-term magnitude for certifying the closed form.
 CROSS_TERM_ATOL = 1e-10
 
 
@@ -141,15 +141,15 @@ def optimal_settings(corr: CorrelationData) -> BellSettings:
 def max_violation_closed_form(state: QuantumState, k: int) -> ViolationReport:
     """Closed-form maximal value ``2 sqrt(tau1 + tau2) + 2p`` at index ``k``.
 
-    ``formula_valid`` records whether the closed form is certified for
-    this state: always for even dimension, and for odd dimension exactly
-    when the projector cross terms vanish (as they do exactly for every
-    Schmidt state). An uncertified state is not an error; the report
-    simply flags that an oracle value should be preferred.
+    ``formula_valid`` records whether the projector cross terms vanish,
+    which certifies the closed form for this state. They are exactly 0.0
+    for every even-dimension state (the projector is the zero matrix) and
+    for every Schmidt state. An uncertified state is not an error; the
+    report simply flags that an oracle value should be preferred.
     """
     corr = correlation_data(state, k)
     cross = max(float(np.max(np.abs(corr.g))), float(np.max(np.abs(corr.h))))
-    certified = corr.dim % 2 == 0 or cross <= CROSS_TERM_ATOL
+    certified = cross <= CROSS_TERM_ATOL
     value = 2.0 * math.sqrt(corr.tau1 + corr.tau2) + 2.0 * corr.p
     return ViolationReport(
         value=value,
@@ -164,9 +164,17 @@ def max_violation_closed_form(state: QuantumState, k: int) -> ViolationReport:
 
 
 def scan_k(state: QuantumState) -> list[ViolationReport]:
-    """Closed-form report for every measurement index ``k`` in 1..N."""
+    """Closed-form report for every measurement index ``k`` in 1..N.
+
+    For even dimension the generators do not depend on ``k``, so the
+    ``k = 1`` report is evaluated once and copied for every ``k``.
+    """
     rho = as_density(state)
-    return [max_violation_closed_form(rho, k) for k in range(1, rho.dim + 1)]
+    ks = range(1, rho.dim + 1)
+    if rho.dim % 2:
+        return [max_violation_closed_form(rho, k) for k in ks]
+    first = max_violation_closed_form(rho, 1)
+    return [replace(first, k=k) for k in ks]
 
 
 def oracle_report(
@@ -191,15 +199,13 @@ def oracle_report(
 def best_k(state: QuantumState, cfg=None, reports=None) -> ViolationReport:
     """Report for the index ``k`` with the largest certified value.
 
-    Ties break toward the smallest ``k``. For even dimension ``k`` is
-    inert, so the ``k = 1`` result is returned directly. If no index
+    Ties break toward the smallest ``k``, so an even-dimension state, whose
+    reports are all equal, gives its ``k = 1`` report. If no index
     certifies the closed form for an odd-dimension mixed state, the best
     see-saw value (``cfg`` configures it) is returned with
     ``formula_valid=False`` and ``method="oracle"``. ``reports`` are the
     ``scan_k(state)`` reports when the caller already has them.
     """
-    if state.dim % 2 == 0:
-        return reports[0] if reports else max_violation_closed_form(state, 1)
     reports = reports if reports is not None else scan_k(state)
     certified = [rep for rep in reports if rep.formula_valid]
     if certified:
@@ -216,6 +222,7 @@ class ThresholdResult:
     x_star: float
     value_at_zero: float
     k_used: int
+    value_at_one: float
 
 
 def noise_threshold(dim: int, k: int | str = "best") -> ThresholdResult:
@@ -226,6 +233,7 @@ def noise_threshold(dim: int, k: int | str = "best") -> ThresholdResult:
     ``(1 - x) v0 + x v1`` between the noiseless value ``v0 > 2`` and the
     fully mixed value ``v1 < 2`` (true for every N >= 2). The crossing is
     ``x* = (v0 - 2) / (v0 - v1)``; the family violates for ``x < x*``.
+    The result carries both ends of the line, ``v0`` and ``v1``.
     """
     clean = IsotropicState(dim, 0.0)  # rejects dim < 2
     zero = best_k(clean) if k == "best" else max_violation_closed_form(clean, int(k))
@@ -236,4 +244,4 @@ def noise_threshold(dim: int, k: int | str = "best") -> ThresholdResult:
             "thresholds require vanishing cross terms"
         )
     return ThresholdResult((zero.value - LHV_BOUND) / (zero.value - one.value),
-                           zero.value, zero.k)
+                           zero.value, zero.k, one.value)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from bellmax import cli
-from bellmax.states import SchemaError, SchmidtState
+from bellmax.states import IsotropicState, SchemaError, SchmidtState
+from bellmax.violation import max_violation_closed_form, noise_threshold
 
 ROOT2 = math.sqrt(2.0)
 HALF = 1.0 / ROOT2
@@ -157,6 +158,22 @@ def test_threshold_grid_json(capsys):
     assert len(payload["grid"]) == 5
     assert payload["grid"][0]["x"] == 0.0
     assert payload["grid"][-1]["x"] == 1.0
+    # The grid is read off the threshold's exact line; it must agree with
+    # a fresh closed form at every point and hit both ends exactly.
+    cases = [(n, "best") for n in range(2, 10)]
+    cases += [(n, str(k)) for n in (3, 5) for k in range(1, n + 1)]
+    for n, k in cases:
+        payload = run_json(capsys, "threshold", "--N", str(n), "--k", k,
+                           "--grid", "11")
+        k_used = payload["k_used"]
+        for row in payload["grid"]:
+            assert row["k"] == k_used
+            direct = max_violation_closed_form(IsotropicState(n, row["x"]), k_used)
+            assert abs(row["value"] - direct.value) <= 1e-12
+        line = noise_threshold(n, k if k == "best" else int(k))
+        assert payload["grid"][0]["value"] == payload["value_at_zero"]
+        assert payload["grid"][0]["value"] == line.value_at_zero
+        assert payload["grid"][-1]["value"] == line.value_at_one
 
 
 def test_threshold_grid_csv(capsys):
@@ -178,6 +195,12 @@ def test_threshold_csv_requires_grid(capsys):
     code, _, err = run_cli(capsys, "threshold", "--N", "2", "--output", "csv")
     assert code == 2
     assert "--grid" in err
+    # Out-of-range grids are rejected before anything is allocated.
+    for grid in (1, cli.MAX_GRID_POINTS + 1):
+        code, out, err = run_cli(capsys, "threshold", "--N", "2", "--grid", str(grid))
+        assert code == 2
+        assert out == ""
+        assert str(cli.MAX_GRID_POINTS) in err
 
 
 # ---------------------------------------------------------------- gamma

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellmax import sampling
+from bellmax import sampling, seesaw
 from bellmax.operators import BellSettings, make_gamma_set
 from bellmax.seesaw import (
     OracleResult,
@@ -138,6 +138,25 @@ def test_seesaw_determinism():
         np.testing.assert_array_equal(
             getattr(first.settings, name), getattr(second.settings, name)
         )
+
+
+def test_seesaw_draws_each_start_when_its_restart_runs(monkeypatch):
+    # A start is drawn only when its restart begins, so a huge restart
+    # count allocates nothing up front; restart 0 is the warm start.
+    draws = []
+
+    def counting_unit3(rng):
+        draws.append(1)
+        return sampling.unit3(rng)
+
+    def first_ascent(*args):
+        raise RuntimeError("first ascent")
+
+    monkeypatch.setattr(seesaw, "unit3", counting_unit3)
+    monkeypatch.setattr(seesaw, "_ascend", first_ascent)
+    with pytest.raises(RuntimeError, match="first ascent"):
+        seesaw_maximize(EXAMPLE_STATE, 2, SeesawConfig(restarts=1000))
+    assert draws == []
 
 
 def test_seesaw_ascent_monotone():

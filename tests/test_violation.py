@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,13 +92,20 @@ def test_correlations_match_kron_reference():
 
 def test_correlation_entries_bounded():
     rng = np.random.default_rng(41)
+    pure_rng = np.random.default_rng(42)
     for _ in range(20):
         n = int(rng.integers(2, 6))
-        corr = correlation_data(sampling.mixed_density(rng, n), 1)
-        assert np.max(np.abs(corr.r)) <= 1.0 + 1e-12
-        assert 0.0 <= corr.p <= 1.0
-        assert corr.tau1 >= corr.tau2 >= 0.0
-        assert corr.tau1 <= 9.0
+        for rho in (sampling.mixed_density(rng, n), sampling.pure_density(pure_rng, n)):
+            corr = correlation_data(rho, 1)
+            assert np.max(np.abs(corr.r)) <= 1.0 + 1e-12
+            assert 0.0 <= corr.p <= 1.0
+            assert corr.tau1 >= corr.tau2 >= 0.0
+            assert corr.tau1 <= 9.0
+            if n % 2 == 0:
+                # The even-N projector is the zero matrix: the cross terms
+                # are exact zeros, so every even-N state is certified.
+                assert np.all(corr.g == 0.0) and np.all(corr.h == 0.0)
+                assert max_violation_closed_form(rho, 1).formula_valid
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,6 +208,19 @@ def test_best_k_even_is_single():
     rep = best_k(IsotropicState(4, 0.0))
     assert rep.k == 1
     assert rep.value == pytest.approx(2 * ROOT2, abs=1e-12)
+    # For even N, k is inert: every k evaluates to the k = 1 report, which
+    # is what lets scan_k evaluate it once.
+    rng = np.random.default_rng(43)
+    for n in (2, 4, 6):
+        states = (sampling.schmidt_state(rng, n), IsotropicState(n, 0.3),
+                  sampling.mixed_density(rng, n), sampling.pure_density(rng, n))
+        for state in states:
+            reports = scan_k(state)
+            assert [rep.k for rep in reports] == list(range(1, n + 1))
+            for k, rep in enumerate(reports, start=1):
+                assert rep == replace(reports[0], k=k)
+                assert max_violation_closed_form(state, k) == rep
+            assert best_k(state) == reports[0]
 
 
 def test_scan_k_covers_all_indices():
