@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", parents=[common],
                        help="noise threshold of the isotropic family")
     p.add_argument("--N", type=int, required=True, dest="N")
-    p.add_argument("--k", type=_k_spec, default="best")
     p.add_argument("--grid", type=int, default=None,
                    help="also evaluate a uniform grid with this many points")
     p.set_defaults(func=cmd_threshold)
@@ -128,9 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest(args, parameters: dict) -> dict:
-    parameters = dict(parameters)
-    parameters["output"] = args.output
+def _manifest(args) -> dict:
+    skip = ("command", "func", "seed", "no_timestamp", "output")
+    parameters = {key: value for key, value in vars(args).items() if key not in skip}
+    parameters["output"] = args.output  # after the subcommand's own options
     return reporting.build_manifest(
         args.command, parameters, args.seed,
         include_timestamp=not args.no_timestamp,
@@ -148,21 +148,18 @@ def _print(text: str) -> None:
 def cmd_violation(args) -> int:
     state = _read_state(args.state)
     cfg = SeesawConfig(seed=args.seed)
-    if args.k == "best":
-        # Reuse best_k's reports: the closed form at its k and, for an
-        # uncertified state, the see-saw it has already run.
-        reports = scan_k(state)
-        chosen = best_k(state, cfg=cfg, reports=reports)
-        closed = reports[chosen.k - 1]
-    else:
-        chosen = closed = max_violation_closed_form(state, args.k)
-    manifest = _manifest(args, {"state": args.state, "k": args.k, "method": args.method})
+    reports = (scan_k(state) if args.k == "best"
+               else [max_violation_closed_form(state, args.k)])
+    if args.method == "closed" and not any(rep.formula_valid for rep in reports):
+        raise UncertifiedFormulaError(  # before best_k runs the see-saw
+            "closed form is not certified for this state; "
+            "use --method oracle or --method both"
+        )
+    # best_k's choice, with the see-saw it ran if no report is certified
+    chosen = best_k(state, cfg=cfg, reports=reports)
+    closed = next(rep for rep in reports if rep.k == chosen.k)
+    manifest = _manifest(args)
     if args.method == "closed":
-        if not closed.formula_valid:
-            raise UncertifiedFormulaError(
-                "closed form is not certified for this state; "
-                "use --method oracle or --method both"
-            )
         _print(reporting.to_json({"manifest": manifest, **closed.to_dict()}))
         return EXIT_OK
     oracle = chosen if chosen.method == "oracle" else oracle_report(state, closed, cfg)
@@ -185,7 +182,7 @@ def cmd_scan_k(args) -> int:
     reports = scan_k(state)
     best = best_k(state, cfg=cfg, reports=reports)
     payload = {
-        "manifest": _manifest(args, {"state": args.state}),
+        "manifest": _manifest(args),
         "N": state.dim,
         "results": [rep.to_dict() for rep in reports],
         "best": best.to_dict(),
@@ -197,7 +194,7 @@ def cmd_scan_k(args) -> int:
 def cmd_threshold(args) -> int:
     if args.grid is not None and not 2 <= args.grid <= MAX_GRID_POINTS:
         raise ValueError(f"--grid needs 2..{MAX_GRID_POINTS} points, got {args.grid}")
-    result = noise_threshold(args.N, k=args.k)
+    result = noise_threshold(args.N)
     grid_rows = None
     if args.grid is not None:
         # The grid lies on the threshold's exact line: no closed form here.
@@ -205,12 +202,10 @@ def cmd_threshold(args) -> int:
         values = (1.0 - xs) * result.value_at_zero + xs * result.value_at_one
         grid_rows = [(float(x), float(v), result.k_used) for x, v in zip(xs, values)]
     if args.output == "csv":
-        if grid_rows is None:
-            raise ValueError("csv output requires --grid")
         _print(reporting.grid_csv(grid_rows))
         return EXIT_OK
     payload = {
-        "manifest": _manifest(args, {"N": args.N, "k": args.k, "grid": args.grid}),
+        "manifest": _manifest(args),
         "N": args.N,
         "k_used": result.k_used,
         "x_star": result.x_star,
@@ -228,7 +223,7 @@ def cmd_gamma(args) -> int:
     gamma = make_gamma_set(args.N, args.k)
     matrix = {"x": gamma.gx, "y": gamma.gy, "z": gamma.gz, "pi": gamma.pi}[args.axis]
     payload = {
-        "manifest": _manifest(args, {"N": args.N, "k": args.k, "axis": args.axis}),
+        "manifest": _manifest(args),
         "N": args.N,
         "k": args.k,
         "axis": args.axis,
@@ -246,11 +241,7 @@ def cmd_optimize(args) -> int:
     result = seesaw_maximize(state, args.k, cfg, constrain_y=args.constrain_y)
     settings = result.settings
     payload = {
-        "manifest": _manifest(args, {
-            "state": args.state, "k": args.k, "restarts": args.restarts,
-            "max_iters": args.max_iters, "tol": args.tol,
-            "constrain_y": args.constrain_y,
-        }),
+        "manifest": _manifest(args),
         "k": args.k,
         "value": result.value,
         "settings": {
@@ -272,7 +263,7 @@ def cmd_verify(args) -> int:
     results = run_all_checks(args.seed, args.samples)
     failed = [r for r in results if not r.passed]
     payload = {
-        "manifest": _manifest(args, {"samples": args.samples}),
+        "manifest": _manifest(args),
         "checks": [
             {"name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
@@ -293,6 +284,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output == "csv" and getattr(args, "grid", None) is None:
+            raise ValueError("csv output needs threshold --grid, the only CSV report")
         return args.func(args)
     except UncertifiedFormulaError as exc:
         print(f"error: {exc}", file=sys.stderr)

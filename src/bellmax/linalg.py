@@ -74,13 +74,13 @@ def _hermitian(m, atol: float) -> np.ndarray:
     return 0.5 * a + 0.5 * a.conj().T  # halve first: the sum may overflow
 
 
-def hermitian_eig(m, *, atol: float = HERMITIAN_ATOL):
+def hermitian_eig(m):
     """Eigen-decomposition of a Hermitian matrix.
 
     Returns ``(values, vectors)`` with real eigenvalues in ascending order
     and the matching orthonormal eigenvectors as columns of a unitary.
     """
-    return np.linalg.eigh(_hermitian(m, atol))
+    return np.linalg.eigh(_hermitian(m, HERMITIAN_ATOL))
 
 
 def hermitian_eigenvalues(m, *, atol: float = HERMITIAN_ATOL) -> np.ndarray:
@@ -88,7 +88,7 @@ def hermitian_eigenvalues(m, *, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     return np.linalg.eigvalsh(_hermitian(m, atol))
 
 
-def sym3_eig(m, *, atol: float = SYM3_ATOL):
+def sym3_eig(m):
     """Eigen-decomposition of a real symmetric 3x3 matrix.
 
     Returns ``(values, vectors)`` with eigenvalues in descending order and
@@ -98,13 +98,13 @@ def sym3_eig(m, *, atol: float = SYM3_ATOL):
     if a.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
     asym = float(np.max(np.abs(a - a.T)))
-    if asym > atol:
+    if asym > SYM3_ATOL:
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
     values, vectors = np.linalg.eigh(0.5 * (a + a.T))
     return values[::-1], vectors[:, ::-1]
 
 
-def sym3_eigenvalues(m, *, atol: float = SYM3_ATOL) -> tuple[float, float, float]:
+def sym3_eigenvalues(m) -> tuple[float, float, float]:
     """Descending eigenvalue triple of a real symmetric 3x3 matrix."""
-    values, _ = sym3_eig(m, atol=atol)
+    values, _ = sym3_eig(m)
     return float(values[0]), float(values[1]), float(values[2])

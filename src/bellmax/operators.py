@@ -80,20 +80,24 @@ def make_gamma_set(dim: int, k: int = 1) -> GammaSet:
                     gz=_frozen(gz), pi=_frozen(pi))
 
 
+def _unit_vector(vec, name: str) -> np.ndarray:
+    """``vec`` as a float 3-vector, checked to have unit norm."""
+    v = np.asarray(vec, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > UNIT_NORM_ATOL:
+        raise UnitVectorError(f"{name} must be a unit vector, got norm {norm!r}")
+    return v
+
+
 def observable(gamma: GammaSet, direction) -> np.ndarray:
     """Dichotomic observable for a unit direction vector.
 
     Returns the Hermitian matrix ``d_x gx + d_y gy + d_z gz + pi``, whose
     spectrum is contained in {-1, +1}.
     """
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (3,):
-        raise ValueError(f"direction must be a 3-vector, got shape {d.shape}")
-    norm = float(np.linalg.norm(d))
-    if abs(norm - 1.0) > UNIT_NORM_ATOL:
-        raise UnitVectorError(
-            f"measurement direction must be a unit vector, got norm {norm!r}"
-        )
+    d = _unit_vector(direction, "measurement direction")
     return d[0] * gamma.gx + d[1] * gamma.gy + d[2] * gamma.gz + gamma.pi
 
 
@@ -109,14 +113,7 @@ class BellSettings:
 
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-            norm = float(np.linalg.norm(v))
-            if abs(norm - 1.0) > UNIT_NORM_ATOL:
-                raise UnitVectorError(
-                    f"{name} must be a unit vector, got norm {norm!r}"
-                )
+            v = _unit_vector(getattr(self, name), name)
             object.__setattr__(self, name, _frozen(v.copy()))
         if self.k < 1:
             raise ValueError(f"k must be a positive index, got {self.k}")

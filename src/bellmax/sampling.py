@@ -37,11 +37,10 @@ def pure_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     return DensityMatrix(dim, np.outer(v, v.conj()))
 
 
-def mixed_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityMatrix:
-    """Random full-rank (by default) mixed state via a Wishart draw."""
+def mixed_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    """Random full-rank mixed state via a Wishart draw."""
     side = dim * dim
-    rank = side if rank is None else rank
-    gmat = rng.normal(size=(side, rank)) + 1.0j * rng.normal(size=(side, rank))
+    gmat = rng.normal(size=(side, side)) + 1.0j * rng.normal(size=(side, side))
     rho = gmat @ gmat.conj().T
     rho /= float(np.trace(rho).real)
     return DensityMatrix(dim, rho)

@@ -11,7 +11,7 @@ remaining restarts probe for anything the closed form might have missed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,8 +41,8 @@ class SeesawConfig:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,7 @@ def _project_start(vectors, constrain_y: bool):
     return tuple(out)
 
 
-def _step(target: np.ndarray, previous: np.ndarray, constrain_y: bool) -> np.ndarray:
-    if constrain_y:
-        target = target.copy()
-        target[1] = 0.0
+def _step(target: np.ndarray, previous: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(target))
     if norm < 1e-300:
         # Degenerate update (e.g. rank-deficient R): keep the old direction.
@@ -101,7 +98,7 @@ def _step(target: np.ndarray, previous: np.ndarray, constrain_y: bool) -> np.nda
     return target / norm
 
 
-def _ascend(corr: CorrelationData, start, cfg: SeesawConfig, constrain_y: bool):
+def _ascend(corr: CorrelationData, start, cfg: SeesawConfig):
     """One see-saw run; returns (value, vectors, iterations, converged, history)."""
     r = corr.r
     rt = r.T
@@ -113,10 +110,10 @@ def _ascend(corr: CorrelationData, start, cfg: SeesawConfig, constrain_y: bool):
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        a1 = _step(r @ (b1 + b2) + g2, a1, constrain_y)
-        a2 = _step(r @ (b1 - b2), a2, constrain_y)
-        b1 = _step(rt @ (a1 + a2) + h2, b1, constrain_y)
-        b2 = _step(rt @ (a1 - a2), b2, constrain_y)
+        a1 = _step(r @ (b1 + b2) + g2, a1)
+        a2 = _step(r @ (b1 - b2), a2)
+        b1 = _step(rt @ (a1 + a2) + h2, b1)
+        b2 = _step(rt @ (a1 - a2), b2)
         updated = _value(corr, a1, a2, b1, b2)
         history.append(updated)
         if abs(updated - current) <= cfg.tol:
@@ -138,22 +135,27 @@ def seesaw_maximize(
     Exact coordinate updates: ``a1 <- unit(R(b1+b2) + 2g)``,
     ``a2 <- unit(R(b1-b2))``, then ``b1 <- unit(R^T(a1+a2) + 2h)``,
     ``b2 <- unit(R^T(a1-a2))``, until the objective change drops below
-    ``cfg.tol``. With ``constrain_y`` the y components are projected out
-    after every update. Identical seed and config give bit-identical
-    results; restarts are independent and the best one wins, ties going
-    to the lowest restart index.
+    ``cfg.tol``. With ``constrain_y`` the y parts of ``R``, ``g`` and ``h``
+    are zeroed once the warm start is taken, and the starts are projected,
+    so every update stays in the x-z plane. Identical seed and config
+    give bit-identical results; restarts are independent and the best one
+    wins, ties going to the lowest restart index.
     """
     cfg = cfg if cfg is not None else SeesawConfig()
     corr = correlation_data(state, k)
     rng = np.random.default_rng(cfg.seed)
 
     warm = optimal_settings(corr)
+    if constrain_y:
+        r, g, h = corr.r.copy(), corr.g.copy(), corr.h.copy()
+        r[1, :] = r[:, 1] = g[1] = h[1] = 0.0
+        corr = replace(corr, r=r, g=g, h=h)  # tau1, tau2 go unread
     best = None
     for restart in range(cfg.restarts):
         # _ascend draws nothing, so drawing each start here keeps the order.
         vectors = ((warm.a1, warm.a2, warm.b1, warm.b2) if restart == 0
                    else tuple(unit3(rng) for _ in range(4)))
-        run = _ascend(corr, _project_start(vectors, constrain_y), cfg, constrain_y)
+        run = _ascend(corr, _project_start(vectors, constrain_y), cfg)
         if best is None or run[0] > best[0]:
             best = run
     value, (a1, a2, b1, b2), iterations, converged, _ = best

@@ -60,7 +60,6 @@ class ViolationReport:
     formula_valid: bool
     violated: bool
     method: str
-    lhv_bound: float = LHV_BOUND
 
     def to_dict(self) -> dict:
         return {
@@ -70,7 +69,7 @@ class ViolationReport:
             "pi_term": self.pi_term,
             "k": self.k,
             "formula_valid": self.formula_valid,
-            "lhv_bound": self.lhv_bound,
+            "lhv_bound": LHV_BOUND,
             "violated": self.violated,
             "method": self.method,
         }
@@ -204,7 +203,7 @@ def best_k(state: QuantumState, cfg=None, reports=None) -> ViolationReport:
     certifies the closed form for an odd-dimension mixed state, the best
     see-saw value (``cfg`` configures it) is returned with
     ``formula_valid=False`` and ``method="oracle"``. ``reports`` are the
-    ``scan_k(state)`` reports when the caller already has them.
+    candidate closed-form reports, ``scan_k(state)`` when not given.
     """
     reports = reports if reports is not None else scan_k(state)
     certified = [rep for rep in reports if rep.formula_valid]
@@ -234,14 +233,20 @@ def noise_threshold(dim: int, k: int | str = "best") -> ThresholdResult:
     fully mixed value ``v1 < 2`` (true for every N >= 2). The crossing is
     ``x* = (v0 - 2) / (v0 - v1)``; the family violates for ``x < x*``.
     The result carries both ends of the line, ``v0`` and ``v1``.
+
+    Every ``k`` gives the same line, so ``k="best"`` is ``k = 1``: the
+    generators for index ``k`` are the ``k = 1`` set relabelled by a real
+    permutation ``P``, and ``P (x) P`` leaves every isotropic state as it
+    is (they are ``U (x) U*``-invariant; Horodecki & Horodecki, Phys. Rev.
+    A 59, 4206 (1999)).
     """
-    clean = IsotropicState(dim, 0.0)  # rejects dim < 2
-    zero = best_k(clean) if k == "best" else max_violation_closed_form(clean, int(k))
-    one = max_violation_closed_form(IsotropicState(dim, 1.0), zero.k)
+    k = 1 if k == "best" else int(k)
+    zero = max_violation_closed_form(IsotropicState(dim, 0.0), k)  # rejects dim < 2
+    one = max_violation_closed_form(IsotropicState(dim, 1.0), k)
     if not (zero.formula_valid and one.formula_valid):
         raise ValueError(
             "closed form is not certified for this family; "
             "thresholds require vanishing cross terms"
         )
     return ThresholdResult((zero.value - LHV_BOUND) / (zero.value - one.value),
-                           zero.value, zero.k, one.value)
+                           zero.value, k, one.value)

@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bellmax import cli
+from bellmax import cli, seesaw
 from bellmax.states import IsotropicState, SchemaError, SchmidtState
 from bellmax.violation import max_violation_closed_form, noise_threshold
 
@@ -116,11 +116,17 @@ def test_exit_validation_error(capsys, tmp_path):
     assert "cap is 4096" in err
 
 
-def test_exit_uncertified_closed(capsys, uncertified):
-    code, _, err = run_cli(capsys, "violation", "--state", uncertified,
-                           "--k", "2", "--method", "closed")
-    assert code == 4
-    assert "not certified" in err
+def test_exit_uncertified_closed(capsys, monkeypatch, uncertified):
+    # No k certifies this state; the refusal must come before any see-saw,
+    # also with the defaults (--k best --method closed).
+    def no_seesaw(*args, **kwargs):
+        raise AssertionError("the see-saw ran before the refusal")
+
+    monkeypatch.setattr(seesaw, "seesaw_maximize", no_seesaw)
+    for argv in (("--k", "2", "--method", "closed"), ()):
+        code, out, err = run_cli(capsys, "violation", "--state", uncertified, *argv)
+        assert code == 4
+        assert out == "" and "not certified" in err
 
 
 def test_uncertified_oracle_still_works(capsys, uncertified):
@@ -147,7 +153,7 @@ def test_threshold_n4(capsys):
 
 
 def test_threshold_n3_echoes_reference(capsys):
-    payload = run_json(capsys, "threshold", "--N", "3", "--k", "best")
+    payload = run_json(capsys, "threshold", "--N", "3")
     assert payload["paper_reference_value"] == pytest.approx(0.2566)
     analytic = (3 * ROOT2 - 3) / (3 * ROOT2 + 1)
     assert payload["x_star"] == pytest.approx(analytic, abs=1e-6)
@@ -160,20 +166,25 @@ def test_threshold_grid_json(capsys):
     assert payload["grid"][-1]["x"] == 1.0
     # The grid is read off the threshold's exact line; it must agree with
     # a fresh closed form at every point and hit both ends exactly.
-    cases = [(n, "best") for n in range(2, 10)]
-    cases += [(n, str(k)) for n in (3, 5) for k in range(1, n + 1)]
-    for n, k in cases:
-        payload = run_json(capsys, "threshold", "--N", str(n), "--k", k,
-                           "--grid", "11")
-        k_used = payload["k_used"]
+    for n in range(2, 10):
+        payload = run_json(capsys, "threshold", "--N", str(n), "--grid", "11")
+        assert payload["k_used"] == 1
         for row in payload["grid"]:
-            assert row["k"] == k_used
-            direct = max_violation_closed_form(IsotropicState(n, row["x"]), k_used)
+            assert row["k"] == 1
+            direct = max_violation_closed_form(IsotropicState(n, row["x"]), 1)
             assert abs(row["value"] - direct.value) <= 1e-12
-        line = noise_threshold(n, k if k == "best" else int(k))
+        line = noise_threshold(n)
         assert payload["grid"][0]["value"] == payload["value_at_zero"]
         assert payload["grid"][0]["value"] == line.value_at_zero
         assert payload["grid"][-1]["value"] == line.value_at_one
+
+
+def test_threshold_has_no_k_option(capsys):
+    # Every k gives the same isotropic line, so there is nothing to choose.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["threshold", "--N", "3", "--k", "2"])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
 
 
 def test_threshold_grid_csv(capsys):
@@ -191,10 +202,27 @@ def test_threshold_grid_csv(capsys):
     assert int(k) == 1
 
 
-def test_threshold_csv_requires_grid(capsys):
-    code, _, err = run_cli(capsys, "threshold", "--N", "2", "--output", "csv")
-    assert code == 2
-    assert "--grid" in err
+def test_threshold_csv_requires_grid(capsys, monkeypatch, example1):
+    # threshold --grid is the only CSV report; anything else is refused
+    # before any work is done.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was done before the refusal")
+
+    with monkeypatch.context() as patch:
+        for name in ("load_state", "noise_threshold", "make_gamma_set", "run_all_checks"):
+            patch.setattr(cli, name, no_work)
+        for argv in (
+            ("threshold", "--N", "2"),
+            ("violation", "--state", example1),
+            ("scan-k", "--state", example1),
+            ("gamma", "--N", "2", "--axis", "x"),
+            ("optimize", "--state", example1, "--k", "1"),
+            ("verify", "--samples", "5"),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--output", "csv")
+            assert code == 2
+            assert out == ""
+            assert "threshold --grid" in err
     # Out-of-range grids are rejected before anything is allocated.
     for grid in (1, cli.MAX_GRID_POINTS + 1):
         code, out, err = run_cli(capsys, "threshold", "--N", "2", "--grid", str(grid))
@@ -298,6 +326,11 @@ def test_verify_deterministic_bytes(capsys):
 
 
 def test_manifest_embedded_everywhere(capsys, example1):
+    # The parameters are the subcommand's own options in parser order,
+    # then --output; the seed has its own field.
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if action.dest == "command")
+    shared = {"help", "seed", "output", "no_timestamp"}
     for argv in (
         ("violation", "--state", example1, "--k", "2"),
         ("scan-k", "--state", example1),
@@ -311,6 +344,9 @@ def test_manifest_embedded_everywhere(capsys, example1):
         assert manifest["command"] == argv[0]
         assert "parameters" in manifest and "seed" in manifest
         assert "timestamp" not in manifest
+        options = [action.dest for action in subparsers.choices[argv[0]]._actions
+                   if action.dest not in shared]
+        assert list(manifest["parameters"]) == options + ["output"]
 
 
 def test_manifest_timestamp_present_by_default(capsys):

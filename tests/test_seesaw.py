@@ -167,7 +167,7 @@ def test_seesaw_ascent_monotone():
         k = int(rng.integers(1, n + 1))
         corr = correlation_data(sampling.mixed_density(rng, n), k)
         start = tuple(sampling.unit3(rng) for _ in range(4))
-        *_, history = _ascend(corr, start, cfg, constrain_y=False)
+        *_, history = _ascend(corr, start, cfg)
         diffs = np.diff(history)
         assert np.all(diffs >= -1e-12)
 
@@ -191,8 +191,9 @@ def test_seesaw_degenerate_state_converges():
 def test_config_validation():
     with pytest.raises(ValueError, match="restarts"):
         SeesawConfig(restarts=0)
-    with pytest.raises(ValueError, match="tol"):
-        SeesawConfig(tol=0.0)
+    for tol in (0.0, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            SeesawConfig(tol=tol)
     assert isinstance(seesaw_maximize(EXAMPLE_STATE, 2), OracleResult)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellmax import sampling
+from bellmax import sampling, violation
 from bellmax.linalg import tensor
 from bellmax.operators import make_gamma_set
 from bellmax.states import DensityMatrix, IsotropicState, SchmidtState, as_density
@@ -251,7 +251,7 @@ def test_threshold_n3_derived():
     analytic = (3 * ROOT2 - 3) / (3 * ROOT2 + 1)
     res = noise_threshold(3, k="best")
     assert res.x_star == pytest.approx(analytic, abs=1e-12)
-    assert res.k_used == 1  # all k equivalent by symmetry; smallest wins
+    assert res.k_used == 1  # every k gives the same line, so "best" is k = 1
     for n in range(3, 13, 2):
         a, c = isotropic_line(n)
         assert noise_threshold(n).k_used == 1
@@ -260,6 +260,23 @@ def test_threshold_n3_derived():
             assert res.x_star == pytest.approx((a - 2) / (a - c), abs=1e-12)
             crossing = max_violation_closed_form(IsotropicState(n, res.x_star), k)
             assert crossing.value == pytest.approx(2.0, abs=1e-12)
+
+
+def test_threshold_makes_two_closed_form_calls(monkeypatch):
+    # One closed form at each end of the line, for odd N as for even N:
+    # no k is scanned.
+    calls = []
+    closed_form = violation.max_violation_closed_form
+
+    def counting(state, k):
+        calls.append(k)
+        return closed_form(state, k)
+
+    monkeypatch.setattr(violation, "max_violation_closed_form", counting)
+    for n in range(2, 13):
+        calls.clear()
+        noise_threshold(n)
+        assert calls == [1, 1]
 
 
 def test_threshold_monotone_grid():
