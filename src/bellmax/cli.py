@@ -245,10 +245,8 @@ def cmd_optimize(args) -> int:
         "k": args.k,
         "value": result.value,
         "settings": {
-            "a1": [float(v) for v in settings.a1],
-            "a2": [float(v) for v in settings.a2],
-            "b1": [float(v) for v in settings.b1],
-            "b2": [float(v) for v in settings.b2],
+            **{name: [float(v) for v in getattr(settings, name)]
+               for name in ("a1", "a2", "b1", "b2")},
             "k": settings.k,
         },
         "iterations_used": result.iterations_used,

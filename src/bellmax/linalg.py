@@ -38,13 +38,6 @@ def _as_matrix(m, name: str) -> np.ndarray:
     return a
 
 
-def _as_square(m, name: str) -> np.ndarray:
-    a = _as_matrix(m, name)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
 def tensor(a, b) -> np.ndarray:
     """Kronecker product ``a (x) b``, at most ``MAX_TENSOR_DIM`` on a side.
 
@@ -65,7 +58,9 @@ def tensor(a, b) -> np.ndarray:
 
 def _hermitian(m, atol: float) -> np.ndarray:
     """Validated square, finite, Hermitian input, symmetrised exactly."""
-    a = _as_square(m, "matrix")
+    a = _as_matrix(m, "matrix")
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
     asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if asym > atol:
         raise NonHermitianError(

@@ -41,6 +41,18 @@ class GammaSet:
     pi: np.ndarray
 
 
+#: ``_PAULI[m]`` is the 2x2 block that generator ``m`` (x, y, z) places on
+#: every index pair ``(p, q)``, rows and columns in the order ``p, q``.
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _pairing(dim: int, k: int) -> tuple[np.ndarray, int | None]:
+    """Ascending 0-based index pairs ``(M, 2)`` and the cut (None if even) for ``(dim, k)``."""
+    if dim % 2 == 0:
+        return np.arange(dim).reshape(-1, 2), None
+    return np.delete(np.arange(dim), k - 1).reshape(-1, 2), k - 1
+
+
 def make_gamma_set(dim: int, k: int = 1) -> GammaSet:
     """Build the block-Pauli triple and corner projector for ``(dim, k)``.
 
@@ -59,23 +71,13 @@ def make_gamma_set(dim: int, k: int = 1) -> GammaSet:
         )
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
-    gx = np.zeros((dim, dim), dtype=complex)
-    gy = np.zeros((dim, dim), dtype=complex)
-    gz = np.zeros((dim, dim), dtype=complex)
+    pairs, cut = _pairing(dim, k)
+    gens = np.zeros((3, dim, dim), dtype=complex)
+    gens[:, pairs[:, :, None], pairs[:, None, :]] = _PAULI[:, None]
+    gx, gy, gz = gens
     pi = np.zeros((dim, dim), dtype=complex)
-    if dim % 2 == 0:
-        paired = list(range(dim))
-    else:
-        cut = k - 1
-        paired = [i for i in range(dim) if i != cut]
+    if cut is not None:
         pi[cut, cut] = 1.0
-    for j in range(0, len(paired), 2):
-        p, q = paired[j], paired[j + 1]
-        gx[p, q] = gx[q, p] = 1.0
-        gy[p, q] = -1.0j
-        gy[q, p] = 1.0j
-        gz[p, p] = 1.0
-        gz[q, q] = -1.0
     return GammaSet(dim=dim, k=k, gx=_frozen(gx), gy=_frozen(gy),
                     gz=_frozen(gz), pi=_frozen(pi))
 

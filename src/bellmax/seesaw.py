@@ -21,12 +21,7 @@ from .sampling import unit3
 from .states import QuantumState, as_density
 from .violation import CorrelationData, correlation_data, optimal_settings
 
-_AXIS_FALLBACKS = (
-    np.array([0.0, 0.0, 1.0]),
-    np.array([1.0, 0.0, 0.0]),
-    np.array([0.0, 0.0, 1.0]),
-    np.array([1.0, 0.0, 0.0]),
-)
+_AXIS_FALLBACKS = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])) * 2  # a1 a2 b1 b2
 
 
 @dataclass(frozen=True)
@@ -70,11 +65,8 @@ def _value(corr: CorrelationData, a1, a2, b1, b2) -> float:
 
 
 def bell_value_from_correlations(corr: CorrelationData, settings: BellSettings) -> float:
-    """Same expectation from 3x3 correlation data.
-
-    Identity: ``a1.R(b1+b2) + a2.R(b1-b2) + 2 a1.g + 2 b1.h + 2p`` agrees
-    with the direct trace to rounding; the test suite asserts it.
-    """
+    """Same expectation from the 3x3 correlation data (``_value``); it
+    agrees with the direct trace to rounding, which the test suite asserts."""
     return _value(corr, settings.a1, settings.a2, settings.b1, settings.b2)
 
 
@@ -159,14 +151,9 @@ def seesaw_maximize(
         if best is None or run[0] > best[0]:
             best = run
     value, (a1, a2, b1, b2), iterations, converged, _ = best
-    settings = BellSettings(a1, a2, b1, b2, k=k)
-    return OracleResult(
-        value=value,
-        settings=settings,
-        iterations_used=iterations,
-        restarts_used=cfg.restarts,
-        converged=converged,
-    )
+    return OracleResult(value=value, settings=BellSettings(a1, a2, b1, b2, k=k),
+                        iterations_used=iterations, restarts_used=cfg.restarts,
+                        converged=converged)
 
 
 def spectral_max(gamma: GammaSet, settings: BellSettings) -> float:

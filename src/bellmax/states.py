@@ -142,27 +142,19 @@ class DensityMatrix:
 QuantumState = SchmidtState | DensityMatrix | IsotropicState
 
 
-def schmidt_vector(state: SchmidtState) -> np.ndarray:
-    """State vector of a Schmidt state in the product basis |ij> = i*N + j."""
+def schmidt_to_density(state: SchmidtState) -> DensityMatrix:
+    """Rank-one projector onto the Schmidt state; |ij> is entry i*N + j."""
     n = state.dim
     vec = np.zeros(n * n, dtype=complex)
-    for i, c in enumerate(state.coeffs):
-        vec[i * n + i] = c
-    return vec
-
-
-def schmidt_to_density(state: SchmidtState) -> DensityMatrix:
-    """Rank-one projector onto the Schmidt state."""
-    vec = schmidt_vector(state)
-    return DensityMatrix(state.dim, np.outer(vec, vec.conj()))
+    vec[:: n + 1] = state.coeffs  # the entries |ii>
+    return DensityMatrix(n, np.outer(vec, vec.conj()))
 
 
 def isotropic_to_density(state: IsotropicState) -> DensityMatrix:
     """Convex mix ``(x / N^2) I + (1 - x) |psi+><psi+|``."""
     n = state.dim
     plus = np.zeros(n * n, dtype=complex)
-    for i in range(n):
-        plus[i * n + i] = 1.0 / math.sqrt(n)
+    plus[:: n + 1] = 1.0 / math.sqrt(n)
     rho = (state.x / (n * n)) * np.eye(n * n, dtype=complex)
     rho += (1.0 - state.x) * np.outer(plus, plus.conj())
     return DensityMatrix(n, rho)
@@ -205,13 +197,6 @@ _ALLOWED_FIELDS = {
     "density": {"type", "N", "re", "im"},
     "isotropic": {"type", "N", "x"},
 }
-
-
-def _require_int(raw: dict, field: str) -> int:
-    value = raw.get(field)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"field {field!r} must be an integer")
-    return value
 
 
 def _require_number(value, where: str) -> float:
@@ -267,7 +252,9 @@ def load_state(document: str) -> QuantumState:
     missing = sorted(allowed - set(raw))
     if missing:
         raise SchemaError(f"missing fields for type {kind!r}: {missing}")
-    dim = _require_int(raw, "N")
+    dim = raw["N"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise SchemaError("field 'N' must be an integer")
     if dim < 2:
         raise DomainError(f"field 'N' must be at least 2, got {dim}")
 

@@ -25,6 +25,7 @@ from .seesaw import (
     spectral_max,
 )
 from .states import (
+    DENSITY_HERMITIAN_ATOL,
     IsotropicState,
     isotropic_to_density,
     partial_trace,
@@ -53,11 +54,6 @@ def _random_complex(rng, rows, cols):
     return rng.normal(size=(rows, cols)) + 1.0j * rng.normal(size=(rows, cols))
 
 
-def _random_hermitian(rng, n):
-    m = _random_complex(rng, n, n)
-    return 0.5 * (m + m.conj().T)
-
-
 def check_tensor_algebra(rng, samples: int) -> CheckResult:
     worst_assoc = 0.0
     worst_trace = 0.0
@@ -81,7 +77,8 @@ def check_hermitian_eig(rng, samples: int) -> CheckResult:
     worst = 0.0
     for _ in range(samples):
         n = int(rng.integers(2, 9))
-        m = _random_hermitian(rng, n)
+        m = _random_complex(rng, n, n)
+        m = 0.5 * (m + m.conj().T)
         values, vectors = hermitian_eig(m)
         scale = max(float(np.linalg.norm(m)), 1.0)
         trace_gap = abs(float(np.sum(values)) - float(np.trace(m).real)) / scale
@@ -210,12 +207,9 @@ def check_gisin_constrained(rng, samples: int) -> CheckResult:
 
 def check_lhv_enumeration(rng, samples: int) -> CheckResult:
     worst = 0.0
-    for a1 in (-1, 1):
-        for a2 in (-1, 1):
-            for b1 in (-1, 1):
-                for b2 in (-1, 1):
-                    combo = a1 * b1 + a1 * b2 + a2 * b1 - a2 * b2
-                    worst = max(worst, abs(combo) - 2.0)
+    for a1, a2, b1, b2 in itertools.product((-1, 1), repeat=4):
+        combo = a1 * b1 + a1 * b2 + a2 * b1 - a2 * b2
+        worst = max(worst, abs(combo) - 2.0)
     return _result("lhv-enumeration", worst, 0.0, extra="16/16 assignments")
 
 
@@ -262,7 +256,7 @@ def check_state_constructions(rng, samples: int) -> CheckResult:
         worst = max(worst, float(np.max(np.abs(reduced - target))))
         x = float(rng.uniform(0.0, 1.0))
         rho = isotropic_to_density(IsotropicState(n, x))
-        values = hermitian_eigenvalues(rho.rho, atol=1e-9)
+        values = hermitian_eigenvalues(rho.rho, atol=DENSITY_HERMITIAN_ATOL)
         floor = x / (n * n)
         worst = max(worst, float(np.max(np.abs(values[:-1] - floor))))
         worst = max(worst, abs(float(values[-1]) - (floor + 1.0 - x)))

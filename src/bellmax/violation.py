@@ -11,6 +11,8 @@ eigenvalues of ``R^T R``. For even dimension the projector is the zero
 matrix, so the cross vectors are exactly zero, ``k`` is inert and the
 closed form holds for every state; for odd dimension it is certified
 when the cross vectors vanish (Schmidt states always satisfy this).
+Every moment is a sum of density entries over the generators' index
+pairs, which Schmidt and isotropic states give in closed form, in O(N).
 """
 
 from __future__ import annotations
@@ -21,8 +23,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import sym3_eig, sym3_eigenvalues
-from .operators import BellSettings, make_gamma_set
-from .states import DensityMatrix, IsotropicState, QuantumState, as_density
+from .operators import _PAULI, BellSettings, _pairing
+from .states import DensityMatrix, DomainError, IsotropicState, QuantumState, SchmidtState
+# Unused here; kept because the traced bench wraps them (ROADMAP direction 1).
+from .operators import make_gamma_set  # noqa: F401
+from .states import as_density  # noqa: F401
 
 LHV_BOUND = 2.0
 
@@ -32,6 +37,16 @@ VIOLATION_EPS = 1e-12
 
 #: Max cross-term magnitude for certifying the closed form.
 CROSS_TERM_ATOL = 1e-10
+
+#: Largest N that ``correlation_data`` takes: a scan over every k reads at
+#: most N^2 (4.2 million) Schmidt coefficients. Building a density matrix
+#: or Bell operator keeps the lower ``linalg.MAX_TENSOR_DIM`` cap.
+MAX_PAIR_DIM = 2048
+
+#: ``_WEIGHTS[s, m]`` is the 2x2 block of ``O_m = (gx, gy, gz, pi)[m]`` on a
+#: block of class ``s``: an index pair (0) or the cut ``(x, x)`` (1).
+_WEIGHTS = np.zeros((2, 4, 2, 2), dtype=complex)
+_WEIGHTS[0, :3], _WEIGHTS[1, 3, 0, 0] = _PAULI, 1.0
 
 
 @dataclass(frozen=True)
@@ -75,30 +90,62 @@ class ViolationReport:
         }
 
 
+def _diagonal_sums(coeffs: np.ndarray, blocks: np.ndarray, classes: np.ndarray):
+    """Block sums of ``rho4 = c_i c_j d_ik d_jl``: only P = Q, a = c, b = d survive."""
+    sums = np.einsum("Ps,Pa,Pb->sab", classes, coeffs[blocks], coeffs[blocks])
+    return np.einsum("sab,st,ac,bd->stacbd", sums, *[np.eye(2)] * 3)
+
+
+def _block_sums(state: QuantumState, blocks: np.ndarray, classes: np.ndarray):
+    """``Z[s, t, a, c, b, d]``: ``rho4[P_a, Q_c, P_b, Q_d]`` summed over blocks
+    ``P`` of class ``s`` and ``Q`` of class ``t``, where ``rho4[i, k, j, l] =
+    <ik|rho|jl>``. A density gives its entries, O(N^2); Schmidt and
+    isotropic states give the sums in closed form, O(N).
+    """
+    n = state.dim
+    if isinstance(state, DensityMatrix):
+        # index arrays broadcast to the axes (P, Q, a, c, b, d)
+        pa, qc = blocks[:, None, :, None, None, None], blocks[None, :, None, :, None, None]
+        pb, qd = blocks[:, None, None, None, :, None], blocks[None, :, None, None, None, :]
+        entries = state.rho.reshape(n, n, n, n)[pa, qc, pb, qd]
+        return np.einsum("PQacbd,Ps,Qt->stacbd", entries, classes, classes)
+    if isinstance(state, SchmidtState):
+        return _diagonal_sums(np.asarray(state.coeffs), blocks, classes)
+    if isinstance(state, IsotropicState):
+        # rho4 = (1 - x) (Schmidt state with c_i = N^-1/2) + x/N^2 d_ij d_kl
+        same = np.einsum("Ps,Pab->sab", classes, blocks[:, :, None] == blocks[:, None, :])
+        return ((1.0 - state.x) * _diagonal_sums(np.full(n, n ** -0.5), blocks, classes)
+                + state.x / (n * n) * np.einsum("sab,tcd->stacbd", same, same))
+    raise TypeError(f"not a quantum state: {type(state).__name__}")
+
+
 def correlation_data(state: QuantumState, k: int) -> CorrelationData:
     """Exact generator statistics ``R``, ``g``, ``h``, ``p`` for (state, k).
 
     With ``O = (gx, gy, gz, pi)`` the moments ``T[m, n] = Tr[rho O_m (x) O_n]``
     form one 4x4 matrix whose blocks are ``R = T[:3, :3]``, ``g = T[:3, 3]``,
-    ``h = T[3, :3]`` and ``p = T[3, 3]``. It comes from two tensor
-    contractions of the reshaped density matrix, so no dim^2 x dim^2
-    operator is ever materialised. A ``DensityMatrix`` is used as given;
-    any other state is converted once.
+    ``h = T[3, :3]`` and ``p = T[3, 3]``. Each generator is one Pauli block
+    per index pair, and ``pi`` one entry at the cut, so ``T`` is the
+    state's block sums contracted with ``_WEIGHTS``: no generator, and for
+    Schmidt and isotropic states no density matrix, is built. Raises
+    ``DomainError`` before any allocation for ``N > MAX_PAIR_DIM``.
     """
-    rho = state if isinstance(state, DensityMatrix) else as_density(state)
-    n = rho.dim
+    n = state.dim
+    if n > MAX_PAIR_DIM:
+        raise DomainError(f"N={n} is beyond the pair-block budget, cap is N={MAX_PAIR_DIM}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n} for this state, got {k}")
-    gamma = make_gamma_set(n, k)
-    ops = np.stack((gamma.gx, gamma.gy, gamma.gz, gamma.pi))
-    # Tr[rho (A x B)] = sum_{ikjl} rho[ik, jl] A[j, i] B[l, k]
-    left = np.einsum("ikjl,mji->mkl", rho.rho.reshape(n, n, n, n), ops)
-    moments = np.einsum("mkl,nlk->mn", left, ops)
+    pairs, cut = _pairing(n, k)
+    blocks = pairs if cut is None else np.vstack((pairs, [cut, cut]))
+    classes = np.eye(2)[[0] * len(pairs) + [1] * (cut is not None)]  # one-hot
+    # Tr[rho (A x B)] = sum_{ikjl} rho4[i, k, j, l] A[j, i] B[l, k]
+    t = np.einsum("stacbd,smba,tndc->mn", _block_sums(state, blocks, classes),
+                  _WEIGHTS, _WEIGHTS)
     # Traces of Hermitian products are real; tolerate rounding only.
-    imag = float(np.max(np.abs(moments.imag)))
+    imag = float(np.max(np.abs(t.imag)))
     if imag > 1e-9:
         raise ArithmeticError(f"expected real traces, got imaginary parts up to {imag:.3e}")
-    t = moments.real
+    t = t.real
     r, g, h = (np.array(block) for block in (t[:3, :3], t[:3, 3], t[3, :3]))
     for block in (r, g, h):
         block.setflags(write=False)
@@ -108,6 +155,11 @@ def correlation_data(state: QuantumState, k: int) -> CorrelationData:
         dim=n, k=k, r=r, g=g, h=h, p=float(t[3, 3]),
         tau1=max(tau1, 0.0), tau2=max(tau2, 0.0),
     )
+
+
+def _violates(value: float) -> bool:
+    """Whether ``value`` clears the classical bound by more than rounding."""
+    return bool(value - LHV_BOUND > VIOLATION_EPS)
 
 
 def _unit_or(vec: np.ndarray, fallback) -> np.ndarray:
@@ -148,16 +200,10 @@ def max_violation_closed_form(state: QuantumState, k: int) -> ViolationReport:
     """
     corr = correlation_data(state, k)
     cross = max(float(np.max(np.abs(corr.g))), float(np.max(np.abs(corr.h))))
-    certified = cross <= CROSS_TERM_ATOL
     value = 2.0 * math.sqrt(corr.tau1 + corr.tau2) + 2.0 * corr.p
     return ViolationReport(
-        value=value,
-        tau1=corr.tau1,
-        tau2=corr.tau2,
-        pi_term=2.0 * corr.p,
-        k=k,
-        formula_valid=bool(certified),
-        violated=bool(value - LHV_BOUND > VIOLATION_EPS),
+        value=value, tau1=corr.tau1, tau2=corr.tau2, pi_term=2.0 * corr.p, k=k,
+        formula_valid=cross <= CROSS_TERM_ATOL, violated=_violates(value),
         method="closed_form",
     )
 
@@ -168,17 +214,14 @@ def scan_k(state: QuantumState) -> list[ViolationReport]:
     For even dimension the generators do not depend on ``k``, so the
     ``k = 1`` report is evaluated once and copied for every ``k``.
     """
-    rho = as_density(state)
-    ks = range(1, rho.dim + 1)
-    if rho.dim % 2:
-        return [max_violation_closed_form(rho, k) for k in ks]
-    first = max_violation_closed_form(rho, 1)
+    ks = range(1, state.dim + 1)
+    if state.dim % 2:
+        return [max_violation_closed_form(state, k) for k in ks]
+    first = max_violation_closed_form(state, 1)
     return [replace(first, k=k) for k in ks]
 
 
-def oracle_report(
-    state: QuantumState, closed: ViolationReport, cfg=None
-) -> ViolationReport:
+def oracle_report(state: QuantumState, closed: ViolationReport, cfg=None) -> ViolationReport:
     """See-saw value at ``closed.k``, next to that index's closed-form data.
 
     ``tau1``, ``tau2``, ``pi_term`` and ``formula_valid`` are carried over
@@ -187,12 +230,7 @@ def oracle_report(
     from .seesaw import seesaw_maximize
 
     value = seesaw_maximize(state, closed.k, cfg).value
-    return replace(
-        closed,
-        value=value,
-        violated=bool(value - LHV_BOUND > VIOLATION_EPS),
-        method="oracle",
-    )
+    return replace(closed, value=value, violated=_violates(value), method="oracle")
 
 
 def best_k(state: QuantumState, cfg=None, reports=None) -> ViolationReport:
@@ -241,12 +279,9 @@ def noise_threshold(dim: int, k: int | str = "best") -> ThresholdResult:
     A 59, 4206 (1999)).
     """
     k = 1 if k == "best" else int(k)
+    # Certified at every (N, k): the cut-row sums of an isotropic state are
+    # multiples of the identity, so the traceless Paulis give g = h = 0.
     zero = max_violation_closed_form(IsotropicState(dim, 0.0), k)  # rejects dim < 2
     one = max_violation_closed_form(IsotropicState(dim, 1.0), k)
-    if not (zero.formula_valid and one.formula_valid):
-        raise ValueError(
-            "closed form is not certified for this family; "
-            "thresholds require vanishing cross terms"
-        )
     return ThresholdResult((zero.value - LHV_BOUND) / (zero.value - one.value),
                            zero.value, k, one.value)

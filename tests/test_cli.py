@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bellmax import cli, seesaw
+from bellmax import cli, seesaw, violation
 from bellmax.states import IsotropicState, SchemaError, SchmidtState
 from bellmax.violation import max_violation_closed_form, noise_threshold
 
@@ -110,10 +110,16 @@ def test_exit_validation_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "violation", "--state", str(path))
     assert code == 2
     assert "sum to 1" in err
+    # Closed forms build no density, so N = 65 (past the 4096-row density
+    # cap) runs and gives the analytic odd-N value at x = 0.
     path.write_text('{"type":"isotropic","N":65,"x":0}')
-    code, _, err = run_cli(capsys, "violation", "--state", str(path))
+    payload = run_json(capsys, "violation", "--state", str(path))
+    assert payload["value"] == pytest.approx(2 * ROOT2 * 64 / 65 + 2 / 65, abs=1e-12)
+    # Far past the pair-block budget: refused before any allocation.
+    path.write_text('{"type":"isotropic","N":1000000000,"x":0}')
+    code, out, err = run_cli(capsys, "violation", "--state", str(path))
     assert code == 2
-    assert "cap is 4096" in err
+    assert out == "" and f"cap is N={violation.MAX_PAIR_DIM}" in err
 
 
 def test_exit_uncertified_closed(capsys, monkeypatch, uncertified):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellmax import sampling, violation
+from bellmax import sampling, seesaw, states, violation
 from bellmax.linalg import tensor
 from bellmax.operators import make_gamma_set
 from bellmax.states import DensityMatrix, IsotropicState, SchmidtState, as_density
@@ -38,6 +38,17 @@ def kron_trace_reference(rho: DensityMatrix, k: int):
     gvec = np.array([tr(a, g.pi) for a in ops])
     hvec = np.array([tr(g.pi, b) for b in ops])
     return r, gvec, hvec, tr(g.pi, g.pi)
+
+
+def einsum_reference(rho: DensityMatrix, k: int):
+    """Correlation data by two contractions with the dense generators."""
+    n = rho.dim
+    g = make_gamma_set(n, k)
+    ops = np.stack((g.gx, g.gy, g.gz, g.pi))
+    # Tr[rho (A x B)] = sum_{ikjl} rho[ik, jl] A[j, i] B[l, k]
+    left = np.einsum("ikjl,mji->mkl", rho.rho.reshape(n, n, n, n), ops)
+    t = np.einsum("mkl,nlk->mn", left, ops).real
+    return t[:3, :3], t[:3, 3], t[3, :3], t[3, 3]
 
 
 # ----------------------------------------------------- correlation data
@@ -88,6 +99,83 @@ def test_correlations_match_kron_reference():
         np.testing.assert_allclose(corr.g, g_ref, atol=1e-12)
         np.testing.assert_allclose(corr.h, h_ref, atol=1e-12)
         assert abs(corr.p - p_ref) <= 1e-12
+
+
+FAMILIES = {
+    "schmidt": sampling.schmidt_state,
+    "isotropic": lambda rng, n: IsotropicState(n, float(rng.uniform())),
+    "pure": sampling.pure_density,
+    "mixed": sampling.mixed_density,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.sampled_from(sorted(FAMILIES)), st.integers(0, 2**32 - 1))
+def test_pair_block_kernel_matches_dense_references(n, family, seed):
+    # Schmidt and isotropic states take their closed-form block sums,
+    # densities their gathered entries; both dense references see the
+    # full density matrix and the full generators.
+    state = FAMILIES[family](np.random.default_rng(seed), n)
+    rho = as_density(state)
+    for k in range(1, n + 1):
+        corr = correlation_data(state, k)
+        if family in ("schmidt", "isotropic"):  # certified at every k, exactly
+            assert np.all(corr.g == 0.0) and np.all(corr.h == 0.0)
+        for reference in (kron_trace_reference, einsum_reference):
+            r_ref, g_ref, h_ref, p_ref = reference(rho, k)
+            np.testing.assert_allclose(corr.r, r_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(corr.g, g_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(corr.h, h_ref, rtol=0, atol=1e-12)
+            assert abs(corr.p - p_ref) <= 1e-12
+
+
+def test_schmidt_and_isotropic_build_no_density(monkeypatch):
+    def refuse(state):
+        raise AssertionError("a density matrix was built")
+
+    for module in (violation, states, seesaw):
+        monkeypatch.setattr(module, "as_density", refuse)
+    cfg = seesaw.SeesawConfig(restarts=4)
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 8, 9, 65):
+        for state in (sampling.schmidt_state(rng, n), IsotropicState(n, 0.3)):
+            reports = scan_k(state)
+            assert len(reports) == n and all(rep.formula_valid for rep in reports)
+            assert max_violation_closed_form(state, n) == reports[-1]
+            oracle = seesaw.seesaw_maximize(state, n, cfg)
+            assert oracle.value == pytest.approx(reports[-1].value, abs=1e-9)
+        noise_threshold(n)
+
+
+def test_schmidt_257_scan_matches_analytic():
+    # Every k of an N = 257 Schmidt state: R = diag(s, -s, 1 - c_k^2) with
+    # s = 2 sum c_p c_q over the pairs (p, q) left when index k is cut.
+    n = 257
+    state = sampling.schmidt_state(np.random.default_rng(257), n)
+    c = state.coeffs
+    for k, rep in enumerate(scan_k(state), start=1):
+        rest = [c[i] for i in range(n) if i != k - 1]
+        s = 2.0 * math.fsum(rest[j] * rest[j + 1] for j in range(0, n - 1, 2))
+        z = 1.0 - c[k - 1] ** 2
+        np.testing.assert_allclose(correlation_data(state, k).r, np.diag([s, -s, z]),
+                                   rtol=0, atol=1e-12)
+        tau1, tau2 = sorted((s * s, s * s, z * z), reverse=True)[:2]
+        assert rep.k == k and rep.formula_valid
+        assert rep.tau1 == pytest.approx(tau1, abs=1e-12)
+        assert rep.tau2 == pytest.approx(tau2, abs=1e-12)
+        assert rep.pi_term == pytest.approx(2.0 * c[k - 1] ** 2, abs=1e-12)
+        assert rep.value == pytest.approx(2.0 * math.sqrt(tau1 + tau2) + 2.0 * c[k - 1] ** 2,
+                                          abs=1e-12)
+
+
+def test_pair_block_budget():
+    # The budget is checked before any allocation, whatever the state.
+    for state in (IsotropicState(violation.MAX_PAIR_DIM + 1, 0.5),
+                  IsotropicState(10**9, 0.0)):
+        with pytest.raises(states.DomainError, match=f"cap is N={violation.MAX_PAIR_DIM}"):
+            correlation_data(state, 1)
+    a, c = isotropic_line(1001)  # N = 1001 is past the density cap, inside the budget
+    assert noise_threshold(1001).x_star == pytest.approx((a - 2) / (a - c), abs=1e-12)
 
 
 def test_correlation_entries_bounded():
