@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("verify", parents=[common],
-                       help="run the invariant suites of every module")
+                       help="check the closed form, see-saw, operators and states")
     p.add_argument("--samples", type=int, default=100)
     p.set_defaults(func=cmd_verify)
 

@@ -141,7 +141,7 @@ def seesaw_maximize(
     if constrain_y:
         r, g, h = corr.r.copy(), corr.g.copy(), corr.h.copy()
         r[1, :] = r[:, 1] = g[1] = h[1] = 0.0
-        corr = replace(corr, r=r, g=g, h=h)  # tau1, tau2 go unread
+        corr = replace(corr, r=r, g=g, h=h)  # tau1, tau2, vectors go unread
     best = None
     for restart in range(cfg.restarts):
         # _ascend draws nothing, so drawing each start here keeps the order.

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import sym3_eig, sym3_eigenvalues
+from .linalg import sym3_eig
 from .operators import _PAULI, BellSettings, _pairing
 from .states import DensityMatrix, DomainError, IsotropicState, QuantumState, SchmidtState
 # Unused here; kept because the traced bench wraps them (ROADMAP direction 1).
@@ -51,9 +51,10 @@ _WEIGHTS[0, :3], _WEIGHTS[1, 3, 0, 0] = _PAULI, 1.0
 
 @dataclass(frozen=True)
 class CorrelationData:
-    """Pairwise generator statistics of one state at a fixed index ``k``."""
+    """Pairwise generator statistics of one state at a fixed index ``k``.
+    ``vectors`` holds the eigenvectors of ``R^T R`` as columns: for ``tau1``,
+    for ``tau2``, then for the smallest eigenvalue."""
 
-    dim: int
     k: int
     r: np.ndarray
     g: np.ndarray
@@ -61,6 +62,7 @@ class CorrelationData:
     p: float
     tau1: float
     tau2: float
+    vectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -147,13 +149,13 @@ def correlation_data(state: QuantumState, k: int) -> CorrelationData:
         raise ArithmeticError(f"expected real traces, got imaginary parts up to {imag:.3e}")
     t = t.real
     r, g, h = (np.array(block) for block in (t[:3, :3], t[:3, 3], t[3, :3]))
-    for block in (r, g, h):
+    values, vectors = sym3_eig(r.T @ r)
+    for block in (r, g, h, vectors):
         block.setflags(write=False)
-
-    tau1, tau2, _ = sym3_eigenvalues(r.T @ r)
     return CorrelationData(
-        dim=n, k=k, r=r, g=g, h=h, p=float(t[3, 3]),
-        tau1=max(tau1, 0.0), tau2=max(tau2, 0.0),
+        k=k, r=r, g=g, h=h, p=float(t[3, 3]),
+        tau1=max(float(values[0]), 0.0), tau2=max(float(values[1]), 0.0),
+        vectors=vectors,
     )
 
 
@@ -176,9 +178,8 @@ def optimal_settings(corr: CorrelationData) -> BellSettings:
     R with the optimal mixing angle; the ``a`` vectors align with their
     images under R (shifted by the cross vector g when present).
     """
-    _values, vectors = sym3_eig(corr.r.T @ corr.r)
-    c1 = vectors[:, 0]
-    c2 = vectors[:, 1]
+    c1 = corr.vectors[:, 0]
+    c2 = corr.vectors[:, 1]
     n1 = float(np.linalg.norm(corr.r @ c1))
     n2 = float(np.linalg.norm(corr.r @ c2))
     theta = math.atan2(n2, n1)

@@ -292,6 +292,30 @@ def test_verify_passes_and_validates(capsys):
                        "--no-timestamp")
     assert payload["failed"] == 0
     assert payload["total"] == payload["passed"] == len(payload["checks"])
+    assert [check["name"] for check in payload["checks"]] == [
+        "observable-dichotomy", "observable-involution", "bell-norm-ceiling",
+        "pauli-commutator", "closed-vs-seesaw-even", "closed-vs-seesaw-schmidt",
+        "product-state-ceiling", "isotropic-monotone", "gisin-constrained",
+        "bell-value-identity", "seesaw-determinism", "state-constructions",
+    ]
+
+
+@pytest.mark.parametrize("target, check", [
+    ("max_violation_closed_form", "product-state-ceiling"),
+    ("seesaw_maximize", "closed-vs-seesaw-even"),
+])
+def test_verify_nan_deviation_fails(capsys, monkeypatch, target, check):
+    from dataclasses import replace
+
+    from bellmax import verify
+
+    original = getattr(verify, target)
+    monkeypatch.setattr(verify, target,
+                        lambda *args, **kw: replace(original(*args, **kw), value=math.nan))
+    code, out, _err = run_cli(capsys, "verify", "--samples", "4", "--no-timestamp")
+    assert code == 1
+    failed = {c["name"]: c["detail"] for c in json.loads(out)["checks"] if not c["passed"]}
+    assert failed[check].startswith("worst deviation nan")
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
