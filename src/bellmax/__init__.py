@@ -14,7 +14,6 @@ from .linalg import (
     hermitian_eig,
     hermitian_eigenvalues,
     sym3_eig,
-    sym3_eigenvalues,
     tensor,
 )
 from .operators import (
@@ -95,6 +94,5 @@ __all__ = [
     "seesaw_maximize",
     "spectral_max",
     "sym3_eig",
-    "sym3_eigenvalues",
     "tensor",
 ]

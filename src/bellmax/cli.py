@@ -112,9 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", parents=[common], help="raw see-saw run")
     p.add_argument("--state", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--restarts", type=int, default=SeesawConfig.restarts)
+    p.add_argument("--max-iters", type=int, default=SeesawConfig.max_iters)
+    p.add_argument("--tol", type=float, default=SeesawConfig.tol)
     p.add_argument("--constrain-y", action="store_true",
                    help="project the y components out of every update")
     p.set_defaults(func=cmd_optimize)
@@ -141,10 +141,6 @@ def _read_state(path: str) -> QuantumState:
     return load_state(Path(path).read_text(encoding="utf-8"))
 
 
-def _print(text: str) -> None:
-    sys.stdout.write(text)
-
-
 def cmd_violation(args) -> int:
     state = _read_state(args.state)
     cfg = SeesawConfig(seed=args.seed)
@@ -160,7 +156,7 @@ def cmd_violation(args) -> int:
     closed = next(rep for rep in reports if rep.k == chosen.k)
     manifest = _manifest(args)
     if args.method == "closed":
-        _print(reporting.to_json({"manifest": manifest, **closed.to_dict()}))
+        sys.stdout.write(reporting.to_json({"manifest": manifest, **closed.to_dict()}))
         return EXIT_OK
     oracle = chosen if chosen.method == "oracle" else oracle_report(state, closed, cfg)
     if args.method == "oracle":
@@ -172,7 +168,7 @@ def cmd_violation(args) -> int:
             "oracle": oracle.to_dict(),
             "abs_difference": abs(closed.value - oracle.value),
         }
-    _print(reporting.to_json(payload))
+    sys.stdout.write(reporting.to_json(payload))
     return EXIT_OK
 
 
@@ -187,7 +183,7 @@ def cmd_scan_k(args) -> int:
         "results": [rep.to_dict() for rep in reports],
         "best": best.to_dict(),
     }
-    _print(reporting.to_json(payload))
+    sys.stdout.write(reporting.to_json(payload))
     return EXIT_OK
 
 
@@ -202,7 +198,7 @@ def cmd_threshold(args) -> int:
         values = (1.0 - xs) * result.value_at_zero + xs * result.value_at_one
         grid_rows = [(float(x), float(v), result.k_used) for x, v in zip(xs, values)]
     if args.output == "csv":
-        _print(reporting.grid_csv(grid_rows))
+        sys.stdout.write(reporting.grid_csv(grid_rows))
         return EXIT_OK
     payload = {
         "manifest": _manifest(args),
@@ -215,7 +211,7 @@ def cmd_threshold(args) -> int:
         payload["paper_reference_value"] = PUBLISHED_N3_THRESHOLD
     if grid_rows is not None:
         payload["grid"] = [{"x": x, "value": v, "k": k} for x, v, k in grid_rows]
-    _print(reporting.to_json(payload))
+    sys.stdout.write(reporting.to_json(payload))
     return EXIT_OK
 
 
@@ -230,7 +226,7 @@ def cmd_gamma(args) -> int:
         "re": [[float(v) for v in row] for row in matrix.real],
         "im": [[float(v) for v in row] for row in matrix.imag],
     }
-    _print(reporting.to_json(payload))
+    sys.stdout.write(reporting.to_json(payload))
     return EXIT_OK
 
 
@@ -253,7 +249,7 @@ def cmd_optimize(args) -> int:
         "restarts_used": result.restarts_used,
         "converged": result.converged,
     }
-    _print(reporting.to_json(payload))
+    sys.stdout.write(reporting.to_json(payload))
     return EXIT_OK
 
 
@@ -270,7 +266,7 @@ def cmd_verify(args) -> int:
         "passed": len(results) - len(failed),
         "failed": len(failed),
     }
-    _print(reporting.to_json(payload))
+    sys.stdout.write(reporting.to_json(payload))
     if failed:
         first = failed[0]
         print(f"verify failed: {first.name}: {first.detail}", file=sys.stderr)

@@ -98,8 +98,3 @@ def sym3_eig(m):
     values, vectors = np.linalg.eigh(0.5 * (a + a.T))
     return values[::-1], vectors[:, ::-1]
 
-
-def sym3_eigenvalues(m) -> tuple[float, float, float]:
-    """Descending eigenvalue triple of a real symmetric 3x3 matrix."""
-    values, _ = sym3_eig(m)
-    return float(values[0]), float(values[1]), float(values[2])

@@ -70,15 +70,13 @@ def bell_value_from_correlations(corr: CorrelationData, settings: BellSettings) 
     return _value(corr, settings.a1, settings.a2, settings.b1, settings.b2)
 
 
-def _project_start(vectors, constrain_y: bool):
+def _project_start(vectors):
     out = []
     for slot, v in enumerate(vectors):
         v = np.array(v, dtype=float)
-        if constrain_y:
-            v[1] = 0.0
-            norm = float(np.linalg.norm(v))
-            v = _AXIS_FALLBACKS[slot].copy() if norm < 1e-12 else v / norm
-        out.append(v)
+        v[1] = 0.0
+        norm = float(np.linalg.norm(v))
+        out.append(_AXIS_FALLBACKS[slot].copy() if norm < 1e-12 else v / norm)
     return tuple(out)
 
 
@@ -91,29 +89,24 @@ def _step(target: np.ndarray, previous: np.ndarray) -> np.ndarray:
 
 
 def _ascend(corr: CorrelationData, start, cfg: SeesawConfig):
-    """One see-saw run; returns (value, vectors, iterations, converged, history)."""
+    """One see-saw run; returns (value, vectors, iterations, converged).
+    ``_step`` never writes to a vector, so the start needs no copy."""
     r = corr.r
     rt = r.T
     g2 = 2.0 * corr.g
     h2 = 2.0 * corr.h
-    a1, a2, b1, b2 = (np.array(v, dtype=float) for v in start)
+    a1, a2, b1, b2 = start
     current = _value(corr, a1, a2, b1, b2)
-    history = [current]
-    converged = False
-    iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         a1 = _step(r @ (b1 + b2) + g2, a1)
         a2 = _step(r @ (b1 - b2), a2)
         b1 = _step(rt @ (a1 + a2) + h2, b1)
         b2 = _step(rt @ (a1 - a2), b2)
         updated = _value(corr, a1, a2, b1, b2)
-        history.append(updated)
         if abs(updated - current) <= cfg.tol:
-            current = updated
-            converged = True
-            break
+            return updated, (a1, a2, b1, b2), iterations, True
         current = updated
-    return current, (a1, a2, b1, b2), iterations, converged, history
+    return current, (a1, a2, b1, b2), cfg.max_iters, False
 
 
 def seesaw_maximize(
@@ -147,10 +140,10 @@ def seesaw_maximize(
         # _ascend draws nothing, so drawing each start here keeps the order.
         vectors = ((warm.a1, warm.a2, warm.b1, warm.b2) if restart == 0
                    else tuple(unit3(rng) for _ in range(4)))
-        run = _ascend(corr, _project_start(vectors, constrain_y), cfg)
+        run = _ascend(corr, _project_start(vectors) if constrain_y else vectors, cfg)
         if best is None or run[0] > best[0]:
             best = run
-    value, (a1, a2, b1, b2), iterations, converged, _ = best
+    value, (a1, a2, b1, b2), iterations, converged = best
     return OracleResult(value=value, settings=BellSettings(a1, a2, b1, b2, k=k),
                         iterations_used=iterations, restarts_used=cfg.restarts,
                         converged=converged)

@@ -102,29 +102,28 @@ def _seesaw_cfg(rng) -> SeesawConfig:
                         seed=int(rng.integers(0, 2**32)))
 
 
+def _closed_vs_seesaw(name: str, rng, cases, extra: str, constrain_y: bool = False):
+    """Worst closed-form vs see-saw gap; ``cases`` yields each state before its seed is drawn."""
+    worst = 0.0
+    for state, k in cases:
+        closed = max_violation_closed_form(state, k)
+        oracle = seesaw_maximize(state, k, _seesaw_cfg(rng), constrain_y=constrain_y)
+        worst = np.maximum(worst, abs(closed.value - oracle.value))
+    return _result(name, worst, 1e-6, extra=extra)
+
+
 def check_closed_vs_seesaw_even(rng, samples: int) -> CheckResult:
     count = max(6, samples // 4)
-    worst = 0.0
-    for idx in range(count):
-        n = (2, 4, 6)[idx % 3]
-        state = sampling.pure_density(rng, n) if idx % 2 == 0 else sampling.mixed_density(rng, n)
-        closed = max_violation_closed_form(state, 1)
-        oracle = seesaw_maximize(state, 1, _seesaw_cfg(rng))
-        worst = np.maximum(worst, abs(closed.value - oracle.value))
-    return _result("closed-vs-seesaw-even", worst, 1e-6, extra=f"{count} states")
+    draw = (sampling.pure_density, sampling.mixed_density)
+    cases = ((draw[idx % 2](rng, (2, 4, 6)[idx % 3]), 1) for idx in range(count))
+    return _closed_vs_seesaw("closed-vs-seesaw-even", rng, cases, f"{count} states")
 
 
 def check_closed_vs_seesaw_schmidt(rng, samples: int) -> CheckResult:
     count = max(6, samples // 4)
-    worst = 0.0
-    for idx in range(count):
-        n = (3, 5)[idx % 2]
-        state = sampling.schmidt_state(rng, n)
-        for k in range(1, n + 1):
-            closed = max_violation_closed_form(state, k)
-            oracle = seesaw_maximize(state, k, _seesaw_cfg(rng))
-            worst = np.maximum(worst, abs(closed.value - oracle.value))
-    return _result("closed-vs-seesaw-schmidt", worst, 1e-6, extra=f"{count} states, all k")
+    states = (sampling.schmidt_state(rng, (3, 5)[idx % 2]) for idx in range(count))
+    cases = ((state, k) for state in states for k in range(1, state.dim + 1))
+    return _closed_vs_seesaw("closed-vs-seesaw-schmidt", rng, cases, f"{count} states, all k")
 
 
 def check_product_ceiling(rng, samples: int) -> CheckResult:
@@ -151,14 +150,10 @@ def check_isotropic_monotone(rng, samples: int) -> CheckResult:
 
 def check_gisin_constrained(rng, samples: int) -> CheckResult:
     count = max(6, samples // 4)
-    worst = 0.0
-    for idx in range(count):
-        n = (3, 5)[idx % 2]
-        state = sampling.schmidt_state(rng, n)
-        closed = max_violation_closed_form(state, n)
-        constrained = seesaw_maximize(state, n, _seesaw_cfg(rng), constrain_y=True)
-        worst = np.maximum(worst, abs(closed.value - constrained.value))
-    return _result("gisin-constrained", worst, 1e-6, extra=f"{count} states at k=N")
+    states = (sampling.schmidt_state(rng, (3, 5)[idx % 2]) for idx in range(count))
+    cases = ((state, state.dim) for state in states)
+    return _closed_vs_seesaw("gisin-constrained", rng, cases, f"{count} states at k=N",
+                             constrain_y=True)
 
 
 def check_bell_value_identity(rng, samples: int) -> CheckResult:

@@ -263,7 +263,7 @@ class ThresholdResult:
     value_at_one: float
 
 
-def noise_threshold(dim: int, k: int | str = "best") -> ThresholdResult:
+def noise_threshold(dim: int) -> ThresholdResult:
     """Isotropic noise weight ``x*`` at which the closed form reaches 2.
 
     White noise of weight ``x`` scales ``R`` by ``1 - x`` and leaves ``p``
@@ -273,13 +273,13 @@ def noise_threshold(dim: int, k: int | str = "best") -> ThresholdResult:
     ``x* = (v0 - 2) / (v0 - v1)``; the family violates for ``x < x*``.
     The result carries both ends of the line, ``v0`` and ``v1``.
 
-    Every ``k`` gives the same line, so ``k="best"`` is ``k = 1``: the
-    generators for index ``k`` are the ``k = 1`` set relabelled by a real
-    permutation ``P``, and ``P (x) P`` leaves every isotropic state as it
-    is (they are ``U (x) U*``-invariant; Horodecki & Horodecki, Phys. Rev.
-    A 59, 4206 (1999)).
+    Every ``k`` gives the same line, so ``k = 1`` is used: the generators
+    for index ``k`` are the ``k = 1`` set relabelled by a real permutation
+    ``P``, and ``P (x) P`` leaves every isotropic state as it is (they are
+    ``U (x) U*``-invariant; Horodecki & Horodecki, Phys. Rev. A 59, 4206
+    (1999)).
     """
-    k = 1 if k == "best" else int(k)
+    k = 1
     # Certified at every (N, k): the cut-row sums of an isotropic state are
     # multiples of the identity, so the traceless Paulis give g = h = 0.
     zero = max_violation_closed_form(IsotropicState(dim, 0.0), k)  # rejects dim < 2

@@ -1,6 +1,7 @@
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -392,3 +393,26 @@ def test_floats_roundtrip_exactly(capsys, example1):
 
     state = SchmidtState(3, (HALF, 0.0, HALF))
     assert value == max_violation_closed_form(state, 2).value
+
+
+# ---------------------------------------------------------------- golden
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("gamma", "--N", "5", "--k", "3", "--axis", "y"), "gamma_n5_k3_y.json"),
+    (("violation", "--state", "example.json", "--k", "2"), "violation_example_k2.json"),
+    (("threshold", "--N", "2", "--grid", "3"), "threshold_n2_grid3.json"),
+])
+def test_golden_report_bytes(capsys, monkeypatch, tmp_path, argv, name):
+    # Every number here is exact on any LAPACK: the generators are integer
+    # matrices and each R^T R is diagonal. The state path is echoed in the
+    # manifest, so it is written to the same relative path every time.
+    monkeypatch.chdir(tmp_path)
+    Path("example.json").write_text(json.dumps({
+        "type": "schmidt", "N": 3, "coeffs": [HALF, 0.0, HALF],
+    }))
+    code, out, _ = run_cli(capsys, *argv, "--no-timestamp")
+    assert code == 0
+    assert out == (GOLDEN / name).read_bytes().decode("utf-8")

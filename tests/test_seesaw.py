@@ -85,7 +85,7 @@ def test_trace_vs_decomposition_identity():
         settings = sampling.random_settings(rng, k)
         direct = bell_value(state, settings)
         reduced = bell_value_from_correlations(correlation_data(state, k), settings)
-        worst = max(worst, abs(direct - reduced))
+        worst = np.maximum(worst, abs(direct - reduced))
     assert worst <= 1e-10
 
 
@@ -159,7 +159,16 @@ def test_seesaw_draws_each_start_when_its_restart_runs(monkeypatch):
     assert draws == []
 
 
-def test_seesaw_ascent_monotone():
+def test_seesaw_ascent_monotone(monkeypatch):
+    # Every value _ascend computes, recorded through its _value calls.
+    history = []
+    value = seesaw._value
+
+    def recording_value(*args):
+        history.append(value(*args))
+        return history[-1]
+
+    monkeypatch.setattr(seesaw, "_value", recording_value)
     rng = np.random.default_rng(71)
     cfg = SeesawConfig(restarts=1, max_iters=200, tol=1e-14, seed=5)
     for _ in range(15):
@@ -167,7 +176,9 @@ def test_seesaw_ascent_monotone():
         k = int(rng.integers(1, n + 1))
         corr = correlation_data(sampling.mixed_density(rng, n), k)
         start = tuple(sampling.unit3(rng) for _ in range(4))
-        *_, history = _ascend(corr, start, cfg)
+        history.clear()
+        _, _, iterations, _ = _ascend(corr, start, cfg)
+        assert len(history) == iterations + 1
         diffs = np.diff(history)
         assert np.all(diffs >= -1e-12)
 

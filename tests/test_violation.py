@@ -337,15 +337,15 @@ def test_threshold_n3_derived():
     # solve (4 sqrt(2)/3)(1 - x) + (2/9)(3 - 2x) = 2 by hand:
     # x = (3 sqrt(2) - 3) / (3 sqrt(2) + 1)
     analytic = (3 * ROOT2 - 3) / (3 * ROOT2 + 1)
-    res = noise_threshold(3, k="best")
+    res = noise_threshold(3)
     assert res.x_star == pytest.approx(analytic, abs=1e-12)
-    assert res.k_used == 1  # every k gives the same line, so "best" is k = 1
+    assert res.k_used == 1  # every k gives the same line, so k = 1 is used
     for n in range(3, 13, 2):
         a, c = isotropic_line(n)
-        assert noise_threshold(n).k_used == 1
-        for k in range(1, n + 1):
-            res = noise_threshold(n, k=k)
-            assert res.x_star == pytest.approx((a - 2) / (a - c), abs=1e-12)
+        res = noise_threshold(n)
+        assert res.k_used == 1
+        assert res.x_star == pytest.approx((a - 2) / (a - c), abs=1e-12)
+        for k in range(1, n + 1):  # the closed form crosses 2 at x* for every k
             crossing = max_violation_closed_form(IsotropicState(n, res.x_star), k)
             assert crossing.value == pytest.approx(2.0, abs=1e-12)
 
