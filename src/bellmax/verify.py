@@ -1,15 +1,16 @@
 """Self-verification suites behind the ``verify`` CLI subcommand.
 
 Each check re-derives one of the package invariants on seeded random
-inputs and reports a pass/fail record with the worst deviation it saw.
-The worst is kept with ``np.maximum``, which unlike ``max`` keeps a NaN,
-so a NaN deviation fails its check. The suites are deterministic: the
-same seed and sample count always produce identical records, which the
-golden tests rely on.
+inputs. A bounded check yields one deviation per comparison, and one
+runner judges them all: it keeps the worst with ``np.maximum``, which
+unlike ``max`` keeps a NaN, so a NaN deviation fails its check. The
+suites are deterministic: the same seed and sample count always produce
+identical records, which the golden tests rely on.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,117 +48,92 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, worst: float, bound: float, extra: str = "") -> CheckResult:
-    detail = f"worst deviation {worst:.3e} (bound {bound:.1e})"
-    if extra:
-        detail += f"; {extra}"
-    return CheckResult(name, bool(worst <= bound), detail)
-
-
-def check_observable_dichotomy(rng, samples: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(2, 10))
-        k = int(rng.integers(1, n + 1))
-        gamma = make_gamma_set(n, k)
-        a = observable(gamma, sampling.unit3(rng))
-        for lam in hermitian_eigenvalues(a):
-            worst = np.maximum(worst, abs(abs(lam) - 1.0))
-    return _result("observable-dichotomy", worst, 1e-9)
-
-
-def check_observable_involution(rng, samples: int) -> CheckResult:
-    worst = 0.0
+def check_observable_dichotomy(rng, samples: int):
     for _ in range(samples):
         n = int(rng.integers(2, 10))
         k = int(rng.integers(1, n + 1))
         a = observable(make_gamma_set(n, k), sampling.unit3(rng))
-        worst = np.maximum(worst, float(np.max(np.abs(a @ a - np.eye(n)))))
-    return _result("observable-involution", worst, 1e-10)
+        yield from np.abs(np.abs(hermitian_eigenvalues(a)) - 1.0)
 
 
-def check_bell_norm_ceiling(rng, samples: int) -> CheckResult:
-    worst = 0.0
+def check_observable_involution(rng, samples: int):
+    for _ in range(samples):
+        n = int(rng.integers(2, 10))
+        k = int(rng.integers(1, n + 1))
+        a = observable(make_gamma_set(n, k), sampling.unit3(rng))
+        yield float(np.max(np.abs(a @ a - np.eye(n))))
+
+
+def check_bell_norm_ceiling(rng, samples: int):
     for _ in range(samples):
         n = int(rng.integers(2, 6))
         k = int(rng.integers(1, n + 1))
         gamma = make_gamma_set(n, k)
-        top = spectral_max(gamma, sampling.random_settings(rng, k))
-        worst = np.maximum(worst, top - _TSIRELSON)
-    return _result("bell-norm-ceiling", worst, 1e-8)
+        yield spectral_max(gamma, sampling.random_settings(rng, k)) - _TSIRELSON
 
 
-def check_pauli_commutator(rng, samples: int) -> CheckResult:
-    worst = 0.0
+def check_pauli_commutator(rng, samples: int):
     for n in range(2, 10):
         for k in range(1, n + 1):
             gamma = make_gamma_set(n, k)
             gap = gamma.gx @ gamma.gy - gamma.gy @ gamma.gx - 2.0j * gamma.gz
-            worst = np.maximum(worst, float(np.max(np.abs(gap))))
-    return _result("pauli-commutator", worst, 1e-12)
+            yield float(np.max(np.abs(gap)))
 
 
-def _seesaw_cfg(rng) -> SeesawConfig:
-    return SeesawConfig(restarts=4, max_iters=600, tol=1e-11,
-                        seed=int(rng.integers(0, 2**32)))
+def _state_count(samples: int) -> int:
+    """States drawn by each closed-vs-see-saw check."""
+    return max(6, samples // 4)
 
 
-def _closed_vs_seesaw(name: str, rng, cases, extra: str, constrain_y: bool = False):
-    """Worst closed-form vs see-saw gap; ``cases`` yields each state before its seed is drawn."""
-    worst = 0.0
+def _closed_vs_seesaw(rng, cases, constrain_y: bool = False):
+    """Closed-form vs see-saw gaps; ``cases`` yields each state before its seed is drawn."""
     for state, k in cases:
         closed = max_violation_closed_form(state, k)
-        oracle = seesaw_maximize(state, k, _seesaw_cfg(rng), constrain_y=constrain_y)
-        worst = np.maximum(worst, abs(closed.value - oracle.value))
-    return _result(name, worst, 1e-6, extra=extra)
+        cfg = SeesawConfig(restarts=4, max_iters=600, tol=1e-11,
+                           seed=int(rng.integers(0, 2**32)))
+        oracle = seesaw_maximize(state, k, cfg, constrain_y=constrain_y)
+        yield abs(closed.value - oracle.value)
 
 
-def check_closed_vs_seesaw_even(rng, samples: int) -> CheckResult:
-    count = max(6, samples // 4)
+def _schmidt_states(rng, samples: int):
+    for idx in range(_state_count(samples)):
+        yield sampling.schmidt_state(rng, (3, 5)[idx % 2])
+
+
+def check_closed_vs_seesaw_even(rng, samples: int):
     draw = (sampling.pure_density, sampling.mixed_density)
-    cases = ((draw[idx % 2](rng, (2, 4, 6)[idx % 3]), 1) for idx in range(count))
-    return _closed_vs_seesaw("closed-vs-seesaw-even", rng, cases, f"{count} states")
+    cases = ((draw[idx % 2](rng, (2, 4, 6)[idx % 3]), 1) for idx in range(_state_count(samples)))
+    return _closed_vs_seesaw(rng, cases)
 
 
-def check_closed_vs_seesaw_schmidt(rng, samples: int) -> CheckResult:
-    count = max(6, samples // 4)
-    states = (sampling.schmidt_state(rng, (3, 5)[idx % 2]) for idx in range(count))
-    cases = ((state, k) for state in states for k in range(1, state.dim + 1))
-    return _closed_vs_seesaw("closed-vs-seesaw-schmidt", rng, cases, f"{count} states, all k")
+def check_closed_vs_seesaw_schmidt(rng, samples: int):
+    states = _schmidt_states(rng, samples)
+    return _closed_vs_seesaw(rng, ((state, k) for state in states for k in range(1, state.dim + 1)))
 
 
-def check_product_ceiling(rng, samples: int) -> CheckResult:
-    worst = 0.0
+def check_product_ceiling(rng, samples: int):
     combos = [(n, k) for n in range(2, 7) for k in range(1, n + 1)]
     for idx in range(samples):
         n, k = combos[idx % len(combos)]
-        rep = max_violation_closed_form(sampling.product_density(rng, n), k)
-        worst = np.maximum(worst, rep.value - 2.0)
-    return _result("product-state-ceiling", worst, 1e-9)
+        yield max_violation_closed_form(sampling.product_density(rng, n), k).value - 2.0
 
 
-def check_isotropic_monotone(rng, samples: int) -> CheckResult:
-    worst = 0.0
+def check_isotropic_monotone(rng, samples: int):
     for n in (3, 4):
         values = [
             max_violation_closed_form(IsotropicState(n, x), 1).value
             for x in np.linspace(0.0, 1.0, 101)
         ]
         for earlier, later in itertools.pairwise(values):
-            worst = np.maximum(worst, later - earlier)
-    return _result("isotropic-monotone", worst, 1e-12)
+            yield later - earlier
 
 
-def check_gisin_constrained(rng, samples: int) -> CheckResult:
-    count = max(6, samples // 4)
-    states = (sampling.schmidt_state(rng, (3, 5)[idx % 2]) for idx in range(count))
-    cases = ((state, state.dim) for state in states)
-    return _closed_vs_seesaw("gisin-constrained", rng, cases, f"{count} states at k=N",
-                             constrain_y=True)
+def check_gisin_constrained(rng, samples: int):
+    cases = ((state, state.dim) for state in _schmidt_states(rng, samples))
+    return _closed_vs_seesaw(rng, cases, constrain_y=True)
 
 
-def check_bell_value_identity(rng, samples: int) -> CheckResult:
-    worst = 0.0
+def check_bell_value_identity(rng, samples: int):
     for idx in range(samples):
         n = int(rng.integers(2, 6))
         k = int(rng.integers(1, n + 1))
@@ -165,8 +141,7 @@ def check_bell_value_identity(rng, samples: int) -> CheckResult:
         settings = sampling.random_settings(rng, k)
         direct = bell_value(state, settings)
         reduced = bell_value_from_correlations(correlation_data(state, k), settings)
-        worst = np.maximum(worst, abs(direct - reduced))
-    return _result("bell-value-identity", worst, 1e-10)
+        yield abs(direct - reduced)
 
 
 def check_seesaw_determinism(rng, samples: int) -> CheckResult:
@@ -189,37 +164,48 @@ def check_seesaw_determinism(rng, samples: int) -> CheckResult:
     )
 
 
-def check_state_constructions(rng, samples: int) -> CheckResult:
-    worst = 0.0
-    for idx in range(max(4, samples // 10)):
+def check_state_constructions(rng, samples: int):
+    for _ in range(max(4, samples // 10)):
         n = int(rng.integers(2, 6))
         schmidt = sampling.schmidt_state(rng, n)
         reduced = partial_trace(schmidt_to_density(schmidt), "a")
-        target = np.diag([c * c for c in schmidt.coeffs])
-        worst = np.maximum(worst, float(np.max(np.abs(reduced - target))))
+        yield float(np.max(np.abs(reduced - np.diag([c * c for c in schmidt.coeffs]))))
         x = float(rng.uniform(0.0, 1.0))
         rho = isotropic_to_density(IsotropicState(n, x))
         values = hermitian_eigenvalues(rho.rho, atol=DENSITY_HERMITIAN_ATOL)
         floor = x / (n * n)
-        worst = np.maximum(worst, float(np.max(np.abs(values[:-1] - floor))))
-        worst = np.maximum(worst, abs(float(values[-1]) - (floor + 1.0 - x)))
-    return _result("state-constructions", worst, 1e-10)
+        yield float(np.max(np.abs(values[:-1] - floor)))
+        yield abs(float(values[-1]) - (floor + 1.0 - x))
 
 
+#: (name, check, bound, detail suffix) in report order. A bounded check
+#: yields deviations; a check without a bound returns its own record.
+#: ``{count}`` in a suffix is the closed-vs-see-saw state count.
 _CHECKS = (
-    check_observable_dichotomy,
-    check_observable_involution,
-    check_bell_norm_ceiling,
-    check_pauli_commutator,
-    check_closed_vs_seesaw_even,
-    check_closed_vs_seesaw_schmidt,
-    check_product_ceiling,
-    check_isotropic_monotone,
-    check_gisin_constrained,
-    check_bell_value_identity,
-    check_seesaw_determinism,
-    check_state_constructions,
+    ("observable-dichotomy", check_observable_dichotomy, 1e-9, ""),
+    ("observable-involution", check_observable_involution, 1e-10, ""),
+    ("bell-norm-ceiling", check_bell_norm_ceiling, 1e-8, ""),
+    ("pauli-commutator", check_pauli_commutator, 1e-12, ""),
+    ("closed-vs-seesaw-even", check_closed_vs_seesaw_even, 1e-6, "{count} states"),
+    ("closed-vs-seesaw-schmidt", check_closed_vs_seesaw_schmidt, 1e-6,
+     "{count} states, all k"),
+    ("product-state-ceiling", check_product_ceiling, 1e-9, ""),
+    ("isotropic-monotone", check_isotropic_monotone, 1e-12, ""),
+    ("gisin-constrained", check_gisin_constrained, 1e-6, "{count} states at k=N"),
+    ("bell-value-identity", check_bell_value_identity, 1e-10, ""),
+    ("seesaw-determinism", check_seesaw_determinism, None, ""),
+    ("state-constructions", check_state_constructions, 1e-10, ""),
 )
+
+
+def _run(name: str, check, bound, suffix: str, rng, samples: int) -> CheckResult:
+    if bound is None:
+        return check(rng, samples)
+    worst = functools.reduce(np.maximum, check(rng, samples), 0.0)
+    detail = f"worst deviation {worst:.3e} (bound {bound:.1e})"
+    if suffix:
+        detail += "; " + suffix.format(count=_state_count(samples))
+    return CheckResult(name, bool(worst <= bound), detail)
 
 
 def run_all_checks(seed: int, samples: int = 100) -> list[CheckResult]:
@@ -227,7 +213,5 @@ def run_all_checks(seed: int, samples: int = 100) -> list[CheckResult]:
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     children = np.random.SeedSequence(seed).spawn(len(_CHECKS))
-    return [
-        fn(np.random.default_rng(child), samples)
-        for fn, child in zip(_CHECKS, children)
-    ]
+    return [_run(*entry, np.random.default_rng(child), samples)
+            for entry, child in zip(_CHECKS, children)]

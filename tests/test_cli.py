@@ -319,6 +319,29 @@ def test_verify_nan_deviation_fails(capsys, monkeypatch, target, check):
     assert failed[check].startswith("worst deviation nan")
 
 
+@pytest.mark.parametrize("name", [
+    "observable-dichotomy", "observable-involution", "bell-norm-ceiling",
+    "pauli-commutator", "closed-vs-seesaw-even", "closed-vs-seesaw-schmidt",
+    "product-state-ceiling", "isotropic-monotone", "gisin-constrained",
+    "bell-value-identity", "state-constructions",
+])
+def test_verify_runner_fails_nan_in_every_bounded_check(monkeypatch, name):
+    # The NaN comes first: max(0.0, nan) would drop it, np.maximum keeps it.
+    from bellmax import verify
+
+    ((_, check, bound, suffix),) = [entry for entry in verify._CHECKS if entry[0] == name]
+    assert bound is not None
+
+    def with_nan(rng, samples):
+        yield math.nan
+        yield from check(rng, samples)
+
+    monkeypatch.setattr(verify, "_CHECKS", ((name, with_nan, bound, suffix),))
+    (result,) = verify.run_all_checks(0, 2)
+    assert result.name == name and not result.passed
+    assert result.detail.startswith("worst deviation nan")
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     from bellmax.verify import CheckResult
 
