@@ -19,9 +19,13 @@ from .linalg import hermitian_eigenvalues
 from .operators import BellSettings, GammaSet, bell_operator, make_gamma_set
 from .sampling import unit3
 from .states import QuantumState, as_density
-from .violation import CorrelationData, correlation_data, optimal_settings
-
-_AXIS_FALLBACKS = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])) * 2  # a1 a2 b1 b2
+from .violation import (
+    _AXIS_FALLBACKS,
+    CorrelationData,
+    _unit_or,
+    correlation_data,
+    optimal_settings,
+)
 
 
 @dataclass(frozen=True)
@@ -71,13 +75,8 @@ def bell_value_from_correlations(corr: CorrelationData, settings: BellSettings) 
 
 
 def _project_start(vectors):
-    out = []
-    for slot, v in enumerate(vectors):
-        v = np.array(v, dtype=float)
-        v[1] = 0.0
-        norm = float(np.linalg.norm(v))
-        out.append(_AXIS_FALLBACKS[slot].copy() if norm < 1e-12 else v / norm)
-    return tuple(out)
+    return tuple(_unit_or(np.array([v[0], 0.0, v[2]]), fallback)
+                 for v, fallback in zip(vectors, _AXIS_FALLBACKS))
 
 
 def _step(target: np.ndarray, previous: np.ndarray) -> np.ndarray:

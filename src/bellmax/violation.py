@@ -164,6 +164,10 @@ def _violates(value: float) -> bool:
     return bool(value - LHV_BOUND > VIOLATION_EPS)
 
 
+#: Directions of a1, a2, b1, b2 where the vector to normalise vanishes.
+_AXIS_FALLBACKS = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)) * 2
+
+
 def _unit_or(vec: np.ndarray, fallback) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:
@@ -185,8 +189,8 @@ def optimal_settings(corr: CorrelationData) -> BellSettings:
     theta = math.atan2(n2, n1)
     b1 = math.cos(theta) * c1 + math.sin(theta) * c2
     b2 = math.cos(theta) * c1 - math.sin(theta) * c2
-    a1 = _unit_or(corr.r @ (b1 + b2) + 2.0 * corr.g, (0.0, 0.0, 1.0))
-    a2 = _unit_or(corr.r @ (b1 - b2), (1.0, 0.0, 0.0))
+    a1 = _unit_or(corr.r @ (b1 + b2) + 2.0 * corr.g, _AXIS_FALLBACKS[0])
+    a2 = _unit_or(corr.r @ (b1 - b2), _AXIS_FALLBACKS[1])
     return BellSettings(a1, a2, b1, b2, k=corr.k)
 
 
