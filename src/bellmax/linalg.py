@@ -56,15 +56,15 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(am, bm)
 
 
-def _hermitian(m, atol: float) -> np.ndarray:
+def _hermitian(m) -> np.ndarray:
     """Validated square, finite, Hermitian input, symmetrised exactly."""
     a = _as_matrix(m, "matrix")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if asym > atol:
+    if asym > HERMITIAN_ATOL:
         raise NonHermitianError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {atol:.1e}"
+            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {HERMITIAN_ATOL:.1e}"
         )
     return 0.5 * a + 0.5 * a.conj().T  # halve first: the sum may overflow
 
@@ -75,12 +75,12 @@ def hermitian_eig(m):
     Returns ``(values, vectors)`` with real eigenvalues in ascending order
     and the matching orthonormal eigenvectors as columns of a unitary.
     """
-    return np.linalg.eigh(_hermitian(m, HERMITIAN_ATOL))
+    return np.linalg.eigh(_hermitian(m))
 
 
-def hermitian_eigenvalues(m, *, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix."""
-    return np.linalg.eigvalsh(_hermitian(m, atol))
+    return np.linalg.eigvalsh(_hermitian(m))
 
 
 def sym3_eig(m):

@@ -28,7 +28,6 @@ from .seesaw import (
     spectral_max,
 )
 from .states import (
-    DENSITY_HERMITIAN_ATOL,
     IsotropicState,
     isotropic_to_density,
     partial_trace,
@@ -171,8 +170,7 @@ def check_state_constructions(rng, samples: int):
         reduced = partial_trace(schmidt_to_density(schmidt), "a")
         yield float(np.max(np.abs(reduced - np.diag([c * c for c in schmidt.coeffs]))))
         x = float(rng.uniform(0.0, 1.0))
-        rho = isotropic_to_density(IsotropicState(n, x))
-        values = hermitian_eigenvalues(rho.rho, atol=DENSITY_HERMITIAN_ATOL)
+        values = hermitian_eigenvalues(isotropic_to_density(IsotropicState(n, x)).rho)
         floor = x / (n * n)
         yield float(np.max(np.abs(values[:-1] - floor)))
         yield abs(float(values[-1]) - (floor + 1.0 - x))

@@ -116,9 +116,7 @@ def test_isotropic_spectrum_structure():
     for _ in range(20):
         n = int(rng.integers(2, 6))
         x = float(rng.uniform(0, 1))
-        values = hermitian_eigenvalues(
-            isotropic_to_density(IsotropicState(n, x)).rho, atol=1e-9
-        )
+        values = hermitian_eigenvalues(isotropic_to_density(IsotropicState(n, x)).rho)
         floor = x / (n * n)
         np.testing.assert_allclose(values[:-1], floor, atol=1e-10)
         assert abs(values[-1] - (floor + 1.0 - x)) <= 1e-10
