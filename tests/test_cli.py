@@ -427,10 +427,13 @@ GOLDEN = Path(__file__).parent / "golden"
     (("gamma", "--N", "5", "--k", "3", "--axis", "y"), "gamma_n5_k3_y.json"),
     (("violation", "--state", "example.json", "--k", "2"), "violation_example_k2.json"),
     (("threshold", "--N", "2", "--grid", "3"), "threshold_n2_grid3.json"),
+    (("threshold", "--N", "3"), "threshold_n3.json"),
+    (("scan-k", "--state", "example.json"), "scan_k_example.json"),
 ])
 def test_golden_report_bytes(capsys, monkeypatch, tmp_path, argv, name):
     # Every number here is exact on any LAPACK: the generators are integer
-    # matrices and each R^T R is diagonal. The state path is echoed in the
+    # matrices, each R^T R is diagonal and every k of the example is
+    # certified, so no see-saw runs. The state path is echoed in the
     # manifest, so it is written to the same relative path every time.
     monkeypatch.chdir(tmp_path)
     Path("example.json").write_text(json.dumps({
