@@ -129,12 +129,8 @@ class DensityMatrix:
 
     def assert_positive(self) -> None:
         """Reject states whose minimum eigenvalue falls below the floor.
-
-        Construction has checked shape, finiteness and Hermiticity, so the
-        symmetrised matrix goes to LAPACK with no second check.
-        """
-        rho = self.rho
-        low = float(np.linalg.eigvalsh(0.5 * rho + 0.5 * rho.conj().T)[0])
+        Construction has checked shape, finiteness and Hermiticity."""
+        low = float(np.linalg.eigvalsh(0.5 * self.rho + 0.5 * self.rho.conj().T)[0])
         if low < DENSITY_PSD_FLOOR:
             raise PositivityError(
                 f"density matrix is not positive semidefinite: "
