@@ -51,7 +51,8 @@ def check_observable_dichotomy(rng, samples: int):
     for _ in range(samples):
         n = int(rng.integers(2, 10))
         k = int(rng.integers(1, n + 1))
-        a = observable(make_gamma_set(n, k), sampling.unit3(rng))
+        gamma = make_gamma_set(n, k)
+        a = observable(gamma, sampling.unit3(rng))
         yield from np.abs(np.abs(hermitian_eigenvalues(a)) - 1.0)
 
 
@@ -68,7 +69,8 @@ def check_bell_norm_ceiling(rng, samples: int):
         n = int(rng.integers(2, 6))
         k = int(rng.integers(1, n + 1))
         gamma = make_gamma_set(n, k)
-        yield spectral_max(gamma, sampling.random_settings(rng, k)) - _TSIRELSON
+        top = spectral_max(gamma, sampling.random_settings(rng, k))
+        yield top - _TSIRELSON
 
 
 def check_pauli_commutator(rng, samples: int):
@@ -114,7 +116,8 @@ def check_product_ceiling(rng, samples: int):
     combos = [(n, k) for n in range(2, 7) for k in range(1, n + 1)]
     for idx in range(samples):
         n, k = combos[idx % len(combos)]
-        yield max_violation_closed_form(sampling.product_density(rng, n), k).value - 2.0
+        rep = max_violation_closed_form(sampling.product_density(rng, n), k)
+        yield rep.value - 2.0
 
 
 def check_isotropic_monotone(rng, samples: int):
@@ -164,13 +167,15 @@ def check_seesaw_determinism(rng, samples: int) -> CheckResult:
 
 
 def check_state_constructions(rng, samples: int):
-    for _ in range(max(4, samples // 10)):
+    for idx in range(max(4, samples // 10)):
         n = int(rng.integers(2, 6))
         schmidt = sampling.schmidt_state(rng, n)
         reduced = partial_trace(schmidt_to_density(schmidt), "a")
-        yield float(np.max(np.abs(reduced - np.diag([c * c for c in schmidt.coeffs]))))
+        target = np.diag([c * c for c in schmidt.coeffs])
+        yield float(np.max(np.abs(reduced - target)))
         x = float(rng.uniform(0.0, 1.0))
-        values = hermitian_eigenvalues(isotropic_to_density(IsotropicState(n, x)).rho)
+        rho = isotropic_to_density(IsotropicState(n, x))
+        values = hermitian_eigenvalues(rho.rho)
         floor = x / (n * n)
         yield float(np.max(np.abs(values[:-1] - floor)))
         yield abs(float(values[-1]) - (floor + 1.0 - x))
