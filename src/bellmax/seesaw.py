@@ -122,8 +122,8 @@ def seesaw_maximize(
     ``cfg.tol``. With ``constrain_y`` the y parts of ``R``, ``g`` and ``h``
     are zeroed once the warm start is taken, and the starts are projected,
     so every update stays in the x-z plane. Identical seed and config
-    give bit-identical results; restarts are independent and the best one
-    wins, ties going to the lowest restart index.
+    give bit-identical results. Restarts are independent, and the lowest
+    restart whose value is within ``cfg.tol`` of the best is reported.
     """
     cfg = cfg if cfg is not None else SeesawConfig()
     corr = correlation_data(state, k)
@@ -134,15 +134,15 @@ def seesaw_maximize(
         r, g, h = corr.r.copy(), corr.g.copy(), corr.h.copy()
         r[1, :] = r[:, 1] = g[1] = h[1] = 0.0
         corr = replace(corr, r=r, g=g, h=h)  # tau1, tau2, vectors go unread
-    best = None
+    records = []  # runs that beat every earlier run, each within cfg.tol of the best
     for restart in range(cfg.restarts):
         # _ascend draws nothing, so drawing each start here keeps the order.
         vectors = ((warm.a1, warm.a2, warm.b1, warm.b2) if restart == 0
                    else tuple(unit3(rng) for _ in range(4)))
         run = _ascend(corr, _project_start(vectors) if constrain_y else vectors, cfg)
-        if best is None or run[0] > best[0]:
-            best = run
-    value, (a1, a2, b1, b2), iterations, converged = best
+        if not records or run[0] > records[-1][0]:
+            records = [rec for rec in records if rec[0] >= run[0] - cfg.tol] + [run]
+    value, (a1, a2, b1, b2), iterations, converged = records[0]
     return OracleResult(value=value, settings=BellSettings(a1, a2, b1, b2, k=k),
                         iterations_used=iterations, restarts_used=cfg.restarts,
                         converged=converged)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +139,30 @@ def test_seesaw_determinism():
         np.testing.assert_array_equal(
             getattr(first.settings, name), getattr(second.settings, name)
         )
+
+
+def test_seesaw_pick_survives_one_ulp_in_r(monkeypatch):
+    # Schmidt states at k = N: several restarts reach the same optimum,
+    # with values that differ only in the last bits.
+    correlation = seesaw.correlation_data
+
+    def one_ulp_larger(state, k):
+        corr = correlation(state, k)
+        return replace(corr, r=corr.r * (1.0 + 2.0 ** -52))
+
+    rng = np.random.default_rng(0)
+    for n, constrain_y in ((3, False), (3, True), (5, False), (5, True)):
+        for seed in range(5):
+            state = sampling.schmidt_state(rng, n)
+            cfg = SeesawConfig(restarts=8, seed=seed)
+            base = seesaw_maximize(state, n, cfg, constrain_y=constrain_y)
+            monkeypatch.setattr(seesaw, "correlation_data", one_ulp_larger)
+            moved = seesaw_maximize(state, n, cfg, constrain_y=constrain_y)
+            monkeypatch.setattr(seesaw, "correlation_data", correlation)
+            assert moved.iterations_used == base.iterations_used
+            for name in ("a1", "a2", "b1", "b2"):
+                np.testing.assert_allclose(getattr(moved.settings, name),
+                                           getattr(base.settings, name), atol=1e-9)
 
 
 def test_seesaw_draws_each_start_when_its_restart_runs(monkeypatch):
