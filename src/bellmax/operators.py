@@ -43,14 +43,36 @@ class GammaSet:
 
 #: ``_PAULI[m]`` is the 2x2 block that generator ``m`` (x, y, z) places on
 #: every index pair ``(p, q)``, rows and columns in the order ``p, q``.
+#: ``_entries`` lists them entry by entry as the coefficient table ``C``,
+#: which ``make_gamma_set`` fills in and ``violation.correlation_data``
+#: contracts with the state as ``C G C^T``.
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def _pairing(dim: int, k: int) -> tuple[np.ndarray, int | None]:
-    """Ascending 0-based index pairs ``(M, 2)`` and the cut (None if even) for ``(dim, k)``."""
-    if dim % 2 == 0:
-        return np.arange(dim).reshape(-1, 2), None
-    return np.delete(np.arange(dim), k - 1).reshape(-1, 2), k - 1
+def _entries(dim: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of ``O = (gx, gy, gz, pi)`` for ``(dim, k)``.
+
+    Returns ``(rows, cols, coeffs)`` with ``O_m[rows[e], cols[e]] =
+    coeffs[m, e]`` and every other entry zero: the four entries of each
+    ascending 0-based index pair ``(p, q)`` (values from ``_PAULI``), then,
+    for odd ``dim``, the one entry of ``pi`` at the cut ``(k-1, k-1)``.
+    """
+    if not 1 <= k <= dim:
+        raise ValueError(f"k must be in 1..{dim}, got {k}")
+    odd = dim % 2
+    order = np.arange(dim)  # the paired indices in ascending order, then the cut
+    if odd:
+        order[k - 1:-1] += 1
+        order[-1] = k - 1
+    # Entry e sits at (order[e // 2], order[e // 4 * 2 + e % 2]): pair e // 4,
+    # its 2x2 block row by row. For odd dim the last entry is (cut, cut).
+    e = np.arange(2 * dim - odd)
+    rows, cols = order[e // 2], order[e // 4 * 2 + e % 2]
+    coeffs = np.zeros((4, e.size), dtype=complex)
+    coeffs[:3] = _PAULI.reshape(3, 4)[:, e % 4]
+    if odd:
+        coeffs[:, -1] = (0, 0, 0, 1)
+    return rows, cols, coeffs
 
 
 def make_gamma_set(dim: int, k: int = 1) -> GammaSet:
@@ -69,15 +91,10 @@ def make_gamma_set(dim: int, k: int = 1) -> GammaSet:
             f"N={dim} gives {dim * dim}x{dim * dim} Bell operators, "
             f"cap is {linalg.MAX_TENSOR_DIM}"
         )
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must be in 1..{dim}, got {k}")
-    pairs, cut = _pairing(dim, k)
-    gens = np.zeros((3, dim, dim), dtype=complex)
-    gens[:, pairs[:, :, None], pairs[:, None, :]] = _PAULI[:, None]
-    gx, gy, gz = gens
-    pi = np.zeros((dim, dim), dtype=complex)
-    if cut is not None:
-        pi[cut, cut] = 1.0
+    rows, cols, coeffs = _entries(dim, k)  # checks k
+    ops = np.zeros((4, dim, dim), dtype=complex)
+    ops[:, rows, cols] = coeffs
+    gx, gy, gz, pi = ops
     return GammaSet(dim=dim, k=k, gx=_frozen(gx), gy=_frozen(gy),
                     gz=_frozen(gz), pi=_frozen(pi))
 

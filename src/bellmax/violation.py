@@ -11,8 +11,9 @@ eigenvalues of ``R^T R``. For even dimension the projector is the zero
 matrix, so the cross vectors are exactly zero, ``k`` is inert and the
 closed form holds for every state; for odd dimension it is certified
 when the cross vectors vanish (Schmidt states always satisfy this).
-Every moment is a sum of density entries over the generators' index
-pairs, which Schmidt and isotropic states give in closed form, in O(N).
+All 16 moments are one contraction ``C G C^T`` of the generators'
+nonzero entries ``C`` with the density entries ``G`` they meet, which
+Schmidt and isotropic states give in closed form, in O(N).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import sym3_eig
-from .operators import _PAULI, BellSettings, _pairing
+from .operators import BellSettings, _entries
 from .states import DensityMatrix, DomainError, IsotropicState, QuantumState, SchmidtState
 # Unused here; kept because the traced bench wraps them (ROADMAP direction 1).
 from .operators import make_gamma_set  # noqa: F401
@@ -42,12 +43,6 @@ CROSS_TERM_ATOL = 1e-10
 #: most N^2 (4.2 million) Schmidt coefficients. Building a density matrix
 #: or Bell operator keeps the lower ``linalg.MAX_TENSOR_DIM`` cap.
 MAX_PAIR_DIM = 2048
-
-#: ``_WEIGHTS[s, m]`` is the 2x2 block of ``O_m = (gx, gy, gz, pi)[m]`` on a
-#: block of class ``s``: an index pair (0) or the cut ``(x, x)`` (1).
-_WEIGHTS = np.zeros((2, 4, 2, 2), dtype=complex)
-_WEIGHTS[0, :3], _WEIGHTS[1, 3, 0, 0] = _PAULI, 1.0
-
 
 @dataclass(frozen=True)
 class CorrelationData:
@@ -92,33 +87,9 @@ class ViolationReport:
         }
 
 
-def _diagonal_sums(coeffs: np.ndarray, blocks: np.ndarray, classes: np.ndarray):
-    """Block sums of ``rho4 = c_i c_j d_ik d_jl``: only P = Q, a = c, b = d survive."""
-    sums = np.einsum("Ps,Pa,Pb->sab", classes, coeffs[blocks], coeffs[blocks])
-    return np.einsum("sab,st,ac,bd->stacbd", sums, *[np.eye(2)] * 3)
-
-
-def _block_sums(state: QuantumState, blocks: np.ndarray, classes: np.ndarray):
-    """``Z[s, t, a, c, b, d]``: ``rho4[P_a, Q_c, P_b, Q_d]`` summed over blocks
-    ``P`` of class ``s`` and ``Q`` of class ``t``, where ``rho4[i, k, j, l] =
-    <ik|rho|jl>``. A density gives its entries, O(N^2); Schmidt and
-    isotropic states give the sums in closed form, O(N).
-    """
-    n = state.dim
-    if isinstance(state, DensityMatrix):
-        # index arrays broadcast to the axes (P, Q, a, c, b, d)
-        pa, qc = blocks[:, None, :, None, None, None], blocks[None, :, None, :, None, None]
-        pb, qd = blocks[:, None, None, None, :, None], blocks[None, :, None, None, None, :]
-        entries = state.rho.reshape(n, n, n, n)[pa, qc, pb, qd]
-        return np.einsum("PQacbd,Ps,Qt->stacbd", entries, classes, classes)
-    if isinstance(state, SchmidtState):
-        return _diagonal_sums(np.asarray(state.coeffs), blocks, classes)
-    if isinstance(state, IsotropicState):
-        # rho4 = (1 - x) (Schmidt state with c_i = N^-1/2) + x/N^2 d_ij d_kl
-        same = np.einsum("Ps,Pab->sab", classes, blocks[:, :, None] == blocks[:, None, :])
-        return ((1.0 - state.x) * _diagonal_sums(np.full(n, n ** -0.5), blocks, classes)
-                + state.x / (n * n) * np.einsum("sab,tcd->stacbd", same, same))
-    raise TypeError(f"not a quantum state: {type(state).__name__}")
+def _schmidt_moments(c: np.ndarray, rows: np.ndarray, cols: np.ndarray, coeffs: np.ndarray):
+    """``C G C^T`` for ``rho4 = c_i c_j d_ik d_jl``: ``G[e, e] = c_row c_col``, else 0."""
+    return (c * coeffs[rows] * coeffs[cols]) @ c.T
 
 
 def correlation_data(state: QuantumState, k: int) -> CorrelationData:
@@ -126,23 +97,32 @@ def correlation_data(state: QuantumState, k: int) -> CorrelationData:
 
     With ``O = (gx, gy, gz, pi)`` the moments ``T[m, n] = Tr[rho O_m (x) O_n]``
     form one 4x4 matrix whose blocks are ``R = T[:3, :3]``, ``g = T[:3, 3]``,
-    ``h = T[3, :3]`` and ``p = T[3, 3]``. Each generator is one Pauli block
-    per index pair, and ``pi`` one entry at the cut, so ``T`` is the
-    state's block sums contracted with ``_WEIGHTS``: no generator, and for
-    Schmidt and isotropic states no density matrix, is built. Raises
-    ``DomainError`` before any allocation for ``N > MAX_PAIR_DIM``.
+    ``h = T[3, :3]`` and ``p = T[3, 3]``. ``operators._entries`` lists the
+    nonzero entries ``O_m[row_e, col_e] = C[m, e]``, so ``T = C G C^T`` with
+    ``G[e, f] = rho4[col_e, col_f, row_e, row_f]`` and ``rho4[i, k, j, l] =
+    <ik|rho|jl>``. A density gives ``G`` by one gather of O(N^2) entries;
+    for Schmidt and isotropic states ``G`` is diagonal up to a rank-one
+    term, so they cost O(N) and build no generator and no density matrix.
+    Raises ``DomainError`` before any allocation for ``N > MAX_PAIR_DIM``.
     """
     n = state.dim
     if n > MAX_PAIR_DIM:
         raise DomainError(f"N={n} is beyond the pair-block budget, cap is N={MAX_PAIR_DIM}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n} for this state, got {k}")
-    pairs, cut = _pairing(n, k)
-    blocks = pairs if cut is None else np.vstack((pairs, [cut, cut]))
-    classes = np.eye(2)[[0] * len(pairs) + [1] * (cut is not None)]  # one-hot
+    rows, cols, c = _entries(n, k)  # checks k
     # Tr[rho (A x B)] = sum_{ikjl} rho4[i, k, j, l] A[j, i] B[l, k]
-    t = np.einsum("stacbd,smba,tndc->mn", _block_sums(state, blocks, classes),
-                  _WEIGHTS, _WEIGHTS)
+    if isinstance(state, DensityMatrix):
+        t = c @ state.rho.reshape(n, n, n, n)[cols[:, None], cols, rows[:, None], rows] @ c.T
+    elif isinstance(state, SchmidtState):
+        t = _schmidt_moments(c, rows, cols, np.asarray(state.coeffs))
+    elif isinstance(state, IsotropicState):
+        # rho4 = (1 - x) (Schmidt state with c_i = N^-1/2) + x/N^2 d_ij d_kl;
+        # the second term pairs the operator traces. The weight stays
+        # n ** -0.5 squared: an exact 1/N moves last bits of golden reports.
+        trace = c @ (rows == cols)
+        t = ((1.0 - state.x) * _schmidt_moments(c, rows, cols, np.full(n, n ** -0.5))
+             + state.x / (n * n) * np.outer(trace, trace))
+    else:
+        raise TypeError(f"not a quantum state: {type(state).__name__}")
     # Traces of Hermitian products are real; tolerate rounding only.
     imag = float(np.max(np.abs(t.imag)))
     if imag > 1e-9:

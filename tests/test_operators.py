@@ -78,10 +78,25 @@ def test_domain_errors():
         make_gamma_set(3, 4)
 
 
-@pytest.mark.parametrize("dim", range(2, 10))
+def loop_generators(dim: int, k: int) -> np.ndarray:
+    """``(gx, gy, gz, pi)`` written out pair by pair (reference)."""
+    ops = np.zeros((4, dim, dim), dtype=complex)
+    kept = [i for i in range(dim) if dim % 2 == 0 or i != k - 1]
+    for p, q in zip(kept[::2], kept[1::2]):
+        for m, pauli in enumerate((SX, SY, SZ)):
+            ops[m][np.ix_([p, q], [p, q])] = pauli
+    if dim % 2:
+        ops[3, k - 1, k - 1] = 1.0
+    return ops
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
 def test_gamma_structure_invariants(dim):
     for k in range(1, dim + 1):
         g = make_gamma_set(dim, k)
+        # every entry of every generator, against the per-pair loop
+        for mat, ref in zip((g.gx, g.gy, g.gz, g.pi), loop_generators(dim, k)):
+            np.testing.assert_array_equal(mat, ref)
         identity = np.eye(dim)
         # traceless generators, Hermitian structure
         for mat in (g.gx, g.gy, g.gz):

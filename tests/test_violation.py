@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellmax import sampling, seesaw, states, violation
+from bellmax import operators, sampling, seesaw, states, violation
 from bellmax.linalg import tensor
 from bellmax.operators import make_gamma_set
 from bellmax.states import DensityMatrix, IsotropicState, SchmidtState, as_density
@@ -130,11 +130,19 @@ def test_pair_block_kernel_matches_dense_references(n, family, seed):
 
 
 def test_schmidt_and_isotropic_build_no_density(monkeypatch):
-    def refuse(state):
-        raise AssertionError("a density matrix was built")
+    # No state makes the kernel build a dense generator, and Schmidt and
+    # isotropic states never become a density matrix.
+    def refuse(*args):
+        raise AssertionError("a density matrix or a dense generator was built")
 
     for module in (violation, states, seesaw):
         monkeypatch.setattr(module, "as_density", refuse)
+    for module in (operators, violation, seesaw):
+        monkeypatch.setattr(module, "make_gamma_set", refuse)
+    density_rng = np.random.default_rng(6)
+    for rho in (sampling.pure_density(density_rng, 4), sampling.mixed_density(density_rng, 5)):
+        for k in range(1, rho.dim + 1):
+            assert correlation_data(rho, k).k == k
     cfg = seesaw.SeesawConfig(restarts=4)
     rng = np.random.default_rng(5)
     for n in (2, 3, 8, 9, 65):
