@@ -84,17 +84,18 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
 
 def sym3_eig(m):
-    """Eigen-decomposition of a real symmetric 3x3 matrix.
+    """Eigen-decomposition of real symmetric 3x3 matrices, shape ``(..., 3, 3)``.
 
-    Returns ``(values, vectors)`` with eigenvalues in descending order and
-    real orthonormal eigenvectors as columns. Exact for diagonal input.
-    """
+    Returns ``(values, vectors)``: each matrix's eigenvalues in descending
+    order and its real orthonormal eigenvectors as columns, from one ``eigh``
+    call that gives each matrix the bits it gets alone. Exact for diagonal
+    input; one asymmetric matrix fails the whole stack."""
     a = np.asarray(m, dtype=float)
-    if a.shape != (3, 3):
+    if a.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-    asym = float(np.max(np.abs(a - a.T)))
+    at = a.swapaxes(-1, -2)
+    asym = float(np.abs(a - at).max()) if a.size else 0.0
     if asym > SYM3_ATOL:
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
-    values, vectors = np.linalg.eigh(0.5 * (a + a.T))
-    return values[::-1], vectors[:, ::-1]
-
+    values, vectors = np.linalg.eigh(0.5 * (a + at))
+    return values[..., ::-1], vectors[..., ::-1]

@@ -41,38 +41,37 @@ class GammaSet:
     pi: np.ndarray
 
 
-#: ``_PAULI[m]`` is the 2x2 block that generator ``m`` (x, y, z) places on
-#: every index pair ``(p, q)``, rows and columns in the order ``p, q``.
-#: ``_entries`` lists them entry by entry as the coefficient table ``C``,
-#: which ``make_gamma_set`` fills in and ``violation.correlation_data``
-#: contracts with the state as ``C G C^T``.
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+#: ``_SLOTS[m, s]`` is what generator ``m`` (x, y, z, pi) puts at slot ``s``
+#: of an index pair ``(p, q)``: slots 0-3 are ``(p, p), (p, q), (q, p), (q, q)``
+#: of the Pauli blocks, slot 4 is the cut ``(k-1, k-1)``, which only ``pi`` fills.
+_SLOTS = np.array([[0, 1, 1, 0, 0], [0, -1j, 1j, 0, 0], [1, 0, 0, -1, 0], [0, 0, 0, 0, 1]])
 
 
-def _entries(dim: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries of ``O = (gx, gy, gz, pi)`` for ``(dim, k)``.
-
-    Returns ``(rows, cols, coeffs)`` with ``O_m[rows[e], cols[e]] =
-    coeffs[m, e]`` and every other entry zero: the four entries of each
-    ascending 0-based index pair ``(p, q)`` (values from ``_PAULI``), then,
-    for odd ``dim``, the one entry of ``pi`` at the cut ``(k-1, k-1)``.
-    """
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must be in 1..{dim}, got {k}")
+def _entries(dim: int, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries ``O_m[rows[i, e], cols[i, e]] = _SLOTS[m, slots[e]]``
+    of ``O = (gx, gy, gz, pi)`` at ``k = ks[i]``: four per ascending index pair,
+    then, for odd ``dim``, the cut of ``pi``. ``rows`` and ``cols`` are
+    ``(K, L)``. The slots, and so the coefficient table ``C = _SLOTS[:, slots]``
+    that ``make_gamma_set`` fills in and ``violation._moments`` contracts, do
+    not depend on k."""
+    bad = [k for k in ks if not 1 <= k <= dim]
+    if bad:
+        raise ValueError(f"k must be in 1..{dim}, got {bad[0]}")
     odd = dim % 2
-    order = np.arange(dim)  # the paired indices in ascending order, then the cut
+    # Row i lists the paired indices for ks[i] in ascending order, then the cut.
+    order = np.arange(dim)
     if odd:
-        order[k - 1:-1] += 1
-        order[-1] = k - 1
+        cut = np.array(ks)[:, None] - 1
+        order = order + (order >= cut)
+        order[:, -1:] = cut
+    else:
+        order = order[None].repeat(len(ks), axis=0)
     # Entry e sits at (order[e // 2], order[e // 4 * 2 + e % 2]): pair e // 4,
-    # its 2x2 block row by row. For odd dim the last entry is (cut, cut).
+    # slot e % 4. For odd dim the last entry is (cut, cut), slot 4.
     e = np.arange(2 * dim - odd)
-    rows, cols = order[e // 2], order[e // 4 * 2 + e % 2]
-    coeffs = np.zeros((4, e.size), dtype=complex)
-    coeffs[:3] = _PAULI.reshape(3, 4)[:, e % 4]
-    if odd:
-        coeffs[:, -1] = (0, 0, 0, 1)
-    return rows, cols, coeffs
+    slots = e % 4
+    slots[-1] += 4 * odd
+    return order.take(e // 2, axis=1), order.take(e // 4 * 2 + e % 2, axis=1), slots
 
 
 def make_gamma_set(dim: int, k: int = 1) -> GammaSet:
@@ -91,9 +90,9 @@ def make_gamma_set(dim: int, k: int = 1) -> GammaSet:
             f"N={dim} gives {dim * dim}x{dim * dim} Bell operators, "
             f"cap is {linalg.MAX_TENSOR_DIM}"
         )
-    rows, cols, coeffs = _entries(dim, k)  # checks k
+    rows, cols, slots = _entries(dim, [k])  # checks k
     ops = np.zeros((4, dim, dim), dtype=complex)
-    ops[:, rows, cols] = coeffs
+    ops[:, rows[0], cols[0]] = _SLOTS[:, slots]
     gx, gy, gz, pi = ops
     return GammaSet(dim=dim, k=k, gx=_frozen(gx), gy=_frozen(gy),
                     gz=_frozen(gz), pi=_frozen(pi))

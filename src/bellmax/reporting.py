@@ -63,31 +63,21 @@ def _emit(value: Any, level: int, out: list[str]) -> None:
         out.append(format_float(value))
     elif isinstance(value, str):
         out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        pad = "  " * (level + 1)
-        out.append("{\n")
-        for index, (key, item) in enumerate(value.items()):
-            out.append(pad)
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _emit(item, level + 1, out)
-            out.append(",\n" if index < len(value) - 1 else "\n")
-        out.append("  " * level + "}")
-    elif isinstance(value, (list, tuple)):
-        items = list(value)
+    elif isinstance(value, (dict, list, tuple)):
+        # One layout for both containers; an object's items lead with a key.
+        keyed = isinstance(value, dict)
+        items = ([(json.dumps(str(key)) + ": ", item) for key, item in value.items()]
+                 if keyed else [("", item) for item in value])
+        brackets = "{}" if keyed else "[]"
         if not items:
-            out.append("[]")
+            out.append(brackets)
             return
-        pad = "  " * (level + 1)
-        out.append("[\n")
-        for index, item in enumerate(items):
-            out.append(pad)
+        out.append(brackets[0] + "\n")
+        for index, (key, item) in enumerate(items):
+            out.append("  " * (level + 1) + key)
             _emit(item, level + 1, out)
             out.append(",\n" if index < len(items) - 1 else "\n")
-        out.append("  " * level + "]")
+        out.append("  " * level + brackets[1])
     else:
         raise TypeError(f"cannot serialise {type(value).__name__} into a report")
 

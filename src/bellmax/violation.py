@@ -11,20 +11,20 @@ eigenvalues of ``R^T R``. For even dimension the projector is the zero
 matrix, so the cross vectors are exactly zero, ``k`` is inert and the
 closed form holds for every state; for odd dimension it is certified
 when the cross vectors vanish (Schmidt states always satisfy this).
-All 16 moments are one contraction ``C G C^T`` of the generators'
-nonzero entries ``C`` with the density entries ``G`` they meet, which
-Schmidt and isotropic states give in closed form, in O(N).
+The moments of every k are one batched contraction ``C G C^T`` (``_moments``),
+O(N) per k for Schmidt and isotropic states; a single-k call takes row 0
+of the same path that ``scan_k`` runs once for every k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .linalg import sym3_eig
-from .operators import BellSettings, _entries
+from .operators import _SLOTS, BellSettings, _entries
 from .states import DensityMatrix, DomainError, IsotropicState, QuantumState, SchmidtState
 # Unused here; kept because the traced bench wraps them (ROADMAP direction 1).
 from .operators import make_gamma_set  # noqa: F401
@@ -39,10 +39,15 @@ VIOLATION_EPS = 1e-12
 #: Max cross-term magnitude for certifying the closed form.
 CROSS_TERM_ATOL = 1e-10
 
-#: Largest N that ``correlation_data`` takes: a scan over every k reads at
-#: most N^2 (4.2 million) Schmidt coefficients. Building a density matrix
-#: or Bell operator keeps the lower ``linalg.MAX_TENSOR_DIM`` cap.
+#: Largest N that ``_moments`` takes. Building a density matrix or Bell
+#: operator keeps the lower ``linalg.MAX_TENSOR_DIM`` cap.
 MAX_PAIR_DIM = 2048
+
+#: Scratch bytes per chunk of ks in ``_moments``, instead of 67 MB tables at MAX_PAIR_DIM.
+_CHUNK_BYTES = 1 << 23
+
+#: ``_PRODUCTS[4 m + n, s] = _SLOTS[m, s] _SLOTS[n, s]``: the entry products ``C_m C_n``.
+_PRODUCTS = (_SLOTS[:, None] * _SLOTS).reshape(16, -1)
 
 @dataclass(frozen=True)
 class CorrelationData:
@@ -70,73 +75,78 @@ class ViolationReport:
     pi_term: float
     k: int
     formula_valid: bool
+    lhv_bound: float = field(default=LHV_BOUND, init=False)
     violated: bool
     method: str
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "tau1": self.tau1,
-            "tau2": self.tau2,
-            "pi_term": self.pi_term,
-            "k": self.k,
-            "formula_valid": self.formula_valid,
-            "lhv_bound": LHV_BOUND,
-            "violated": self.violated,
-            "method": self.method,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _schmidt_moments(c: np.ndarray, rows: np.ndarray, cols: np.ndarray, coeffs: np.ndarray):
-    """``C G C^T`` for ``rho4 = c_i c_j d_ik d_jl``: ``G[e, e] = c_row c_col``, else 0."""
-    return (c * coeffs[rows] * coeffs[cols]) @ c.T
+def _row_bytes(state: QuantumState) -> int:
+    """Scratch bytes per k: a density's gather ``G``, else index tables and weights."""
+    length = 2 * state.dim - state.dim % 2
+    return 16 * length * (length if isinstance(state, DensityMatrix) else 4)
 
 
-def correlation_data(state: QuantumState, k: int) -> CorrelationData:
-    """Exact generator statistics ``R``, ``g``, ``h``, ``p`` for (state, k).
-
-    With ``O = (gx, gy, gz, pi)`` the moments ``T[m, n] = Tr[rho O_m (x) O_n]``
-    form one 4x4 matrix whose blocks are ``R = T[:3, :3]``, ``g = T[:3, 3]``,
-    ``h = T[3, :3]`` and ``p = T[3, 3]``. ``operators._entries`` lists the
-    nonzero entries ``O_m[row_e, col_e] = C[m, e]``, so ``T = C G C^T`` with
-    ``G[e, f] = rho4[col_e, col_f, row_e, row_f]`` and ``rho4[i, k, j, l] =
-    <ik|rho|jl>``. A density gives ``G`` by one gather of O(N^2) entries;
-    for Schmidt and isotropic states ``G`` is diagonal up to a rank-one
-    term, so they cost O(N) and build no generator and no density matrix.
-    Raises ``DomainError`` before any allocation for ``N > MAX_PAIR_DIM``.
-    """
+def _moments(state: QuantumState, ks) -> np.ndarray:
+    """Real moments ``T[i, m, n] = Tr[rho O_m (x) O_n]`` of ``O = (gx, gy, gz, pi)``
+    at ``k = ks[i]``: blocks ``R = T[i, :3, :3]``, ``g = T[i, :3, 3]``, ``h =
+    T[i, 3, :3]``, ``p = T[i, 3, 3]``. As ``O_m[row_e, col_e] = C[m, e]``, ``T =
+    C G C^T`` with ``G[e, f] = rho4[col_e, col_f, row_e, row_f]``, ``rho4[i, k,
+    j, l] = <ik|rho|jl>``: O(N^2) gathered entries per k for a density, O(N)
+    for Schmidt and isotropic states. Each k gets a BLAS call of one shape, so
+    its row has the same bits in any batch and chunk. ``N > MAX_PAIR_DIM`` raises first."""
     n = state.dim
     if n > MAX_PAIR_DIM:
         raise DomainError(f"N={n} is beyond the pair-block budget, cap is N={MAX_PAIR_DIM}")
-    rows, cols, c = _entries(n, k)  # checks k
-    # Tr[rho (A x B)] = sum_{ikjl} rho4[i, k, j, l] A[j, i] B[l, k]
-    if isinstance(state, DensityMatrix):
-        t = c @ state.rho.reshape(n, n, n, n)[cols[:, None], cols, rows[:, None], rows] @ c.T
-    elif isinstance(state, SchmidtState):
-        t = _schmidt_moments(c, rows, cols, np.asarray(state.coeffs))
-    elif isinstance(state, IsotropicState):
-        # rho4 = (1 - x) (Schmidt state with c_i = N^-1/2) + x/N^2 d_ij d_kl;
-        # the second term pairs the operator traces. The weight stays
-        # n ** -0.5 squared: an exact 1/N moves last bits of golden reports.
-        trace = c @ (rows == cols)
-        t = ((1.0 - state.x) * _schmidt_moments(c, rows, cols, np.full(n, n ** -0.5))
-             + state.x / (n * n) * np.outer(trace, trace))
-    else:
+    if not isinstance(state, (DensityMatrix, SchmidtState, IsotropicState)):
         raise TypeError(f"not a quantum state: {type(state).__name__}")
+    step = max(1, _CHUNK_BYTES // _row_bytes(state))
+    chunks = [_chunk_moments(state, ks[i:i + step]) for i in range(0, len(ks), step)]
+    t = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
     # Traces of Hermitian products are real; tolerate rounding only.
-    imag = float(np.max(np.abs(t.imag)))
+    imag = float(np.abs(t.imag).max())
     if imag > 1e-9:
         raise ArithmeticError(f"expected real traces, got imaginary parts up to {imag:.3e}")
-    t = t.real
-    r, g, h = (np.array(block) for block in (t[:3, :3], t[:3, 3], t[3, :3]))
-    values, vectors = sym3_eig(r.T @ r)
+    return t.real
+
+
+def _chunk_moments(state: QuantumState, ks) -> np.ndarray:
+    n = state.dim
+    rows, cols, slots = _entries(n, ks)  # checks k
+    # Tr[rho (A x B)] = sum_{ikjl} rho4[i, k, j, l] A[j, i] B[l, k]
+    if isinstance(state, DensityMatrix):
+        c, rho4 = _SLOTS.take(slots, axis=1), state.rho.reshape(n, n, n, n)
+        return c @ rho4[cols[:, :, None], cols[:, None], rows[:, :, None], rows[:, None]] @ c.T
+    # Schmidt: G = diag(c_row c_col), weights on the products C_m C_n. Isotropic:
+    # (1 - x) (Schmidt state, c_i = N^-1/2) + x/N^2 d_ij d_kl, whose second term
+    # pairs the operator traces. Weights n ** -0.5 squared, not 1/N, keep goldens.
+    iso = isinstance(state, IsotropicState)
+    coeffs = np.full(n, n ** -0.5) if iso else np.asarray(state.coeffs)
+    weights = coeffs.take(rows) * coeffs.take(cols)
+    t = (weights[:, None] @ _PRODUCTS.take(slots, axis=1).T).reshape(-1, 4, 4)
+    if iso:
+        trace = _SLOTS.take(slots, axis=1) @ (rows[0] == cols[0])  # the same for every k
+        t = (1.0 - state.x) * t + state.x / (n * n) * np.outer(trace, trace)
+    return t
+
+
+def _spectra(state: QuantumState, ks):
+    """``T`` for every k in ``ks``, and the descending eigenpairs of each ``R^T R``."""
+    t = _moments(state, ks)
+    r = t[:, :3, :3]
+    return (t, *sym3_eig(r.swapaxes(1, 2) @ r))
+
+
+def correlation_data(state: QuantumState, k: int) -> CorrelationData:
+    """Exact ``R``, ``g``, ``h``, ``p`` and ``R^T R`` eigenpairs for (state, k), from row 0."""
+    t, values, vectors = (a[0] for a in _spectra(state, [k]))
+    r, g, h = (block.copy() for block in (t[:3, :3], t[:3, 3], t[3, :3]))
     for block in (r, g, h, vectors):
         block.setflags(write=False)
-    return CorrelationData(
-        k=k, r=r, g=g, h=h, p=float(t[3, 3]),
-        tau1=max(float(values[0]), 0.0), tau2=max(float(values[1]), 0.0),
-        vectors=vectors,
-    )
+    tau1, tau2 = np.maximum(values[:2], 0.0).tolist()
+    return CorrelationData(k, r, g, h, float(t[3, 3]), tau1, tau2, vectors)
 
 
 def _violates(value: float) -> bool:
@@ -174,34 +184,34 @@ def optimal_settings(corr: CorrelationData) -> BellSettings:
     return BellSettings(a1, a2, b1, b2, k=corr.k)
 
 
-def max_violation_closed_form(state: QuantumState, k: int) -> ViolationReport:
-    """Closed-form maximal value ``2 sqrt(tau1 + tau2) + 2p`` at index ``k``.
+def _closed_forms(state: QuantumState, ks) -> list[ViolationReport]:
+    """Closed-form reports ``2 sqrt(tau1 + tau2) + 2p`` at every k in ``ks``.
+    ``formula_valid``: the projector cross terms vanish (a NaN does not), exactly
+    so for even N (zero projector) and Schmidt states; else prefer an oracle."""
+    t, eigenvalues, _ = _spectra(state, ks)
+    tau = np.maximum(eigenvalues[:, :2], 0.0)
+    values = 2.0 * np.sqrt(tau[:, 0] + tau[:, 1]) + 2.0 * t[:, 3, 3]
+    cross = np.maximum(np.abs(t[:, :3, 3]).max(axis=1), np.abs(t[:, 3, :3]).max(axis=1))
+    return [ViolationReport(value=value, tau1=tau1, tau2=tau2, pi_term=2.0 * p, k=k,
+                            formula_valid=cross_k <= CROSS_TERM_ATOL,
+                            violated=_violates(value), method="closed_form")
+            for k, value, (tau1, tau2), p, cross_k
+            in zip(ks, values.tolist(), tau.tolist(), t[:, 3, 3].tolist(), cross.tolist())]
 
-    ``formula_valid`` records whether the projector cross terms vanish,
-    which certifies the closed form for this state. They are exactly 0.0
-    for every even-dimension state (the projector is the zero matrix) and
-    for every Schmidt state. An uncertified state is not an error; the
-    report simply flags that an oracle value should be preferred.
-    """
-    corr = correlation_data(state, k)
-    cross = max(float(np.max(np.abs(corr.g))), float(np.max(np.abs(corr.h))))
-    value = 2.0 * math.sqrt(corr.tau1 + corr.tau2) + 2.0 * corr.p
-    return ViolationReport(
-        value=value, tau1=corr.tau1, tau2=corr.tau2, pi_term=2.0 * corr.p, k=k,
-        formula_valid=cross <= CROSS_TERM_ATOL, violated=_violates(value),
-        method="closed_form",
-    )
+
+def max_violation_closed_form(state: QuantumState, k: int) -> ViolationReport:
+    """Closed-form maximal value at index ``k`` (see ``_closed_forms``)."""
+    return _closed_forms(state, [k])[0]
 
 
 def scan_k(state: QuantumState) -> list[ViolationReport]:
-    """Closed-form report for every measurement index ``k`` in 1..N.
-
-    For even dimension the generators do not depend on ``k``, so the
-    ``k = 1`` report is evaluated once and copied for every ``k``.
-    """
+    """Closed-form report for every measurement index ``k`` in 1..N, from one
+    ``_moments`` batch and one stacked ``sym3_eig``: O(N) per k for Schmidt
+    and isotropic states, and each row bit-equal to ``max_violation_closed_form``.
+    For even dimension ``k`` is inert: the ``k = 1`` report is copied."""
     ks = range(1, state.dim + 1)
     if state.dim % 2:
-        return [max_violation_closed_form(state, k) for k in ks]
+        return _closed_forms(state, ks)
     first = max_violation_closed_form(state, 1)
     return [replace(first, k=k) for k in ks]
 

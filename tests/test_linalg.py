@@ -198,3 +198,29 @@ def test_sym3_eigenvectors():
         for idx in range(3):
             residual = np.linalg.norm(m @ vectors[:, idx] - values[idx] * vectors[:, idx])
             assert residual <= 1e-10 * max(np.linalg.norm(m), 1.0)
+
+
+def test_sym3_stack_matches_each_matrix():
+    # One eigh call for the stack gives every matrix its own bits.
+    rng = np.random.default_rng(29)
+    r = rng.normal(size=(50, 3, 3))
+    stack = r.swapaxes(1, 2) @ r
+    values, vectors = sym3_eig(stack)
+    assert values.shape == (50, 3) and vectors.shape == (50, 3, 3)
+    for m, vals, vecs in zip(stack, values, vectors):
+        one_values, one_vectors = sym3_eig(m)
+        assert np.array_equal(vals, one_values)
+        assert np.array_equal(vecs, one_vectors)
+
+
+def test_sym3_stack_rejects_one_asymmetric_member():
+    stack = np.stack([np.eye(3)] * 4)
+    stack[2, 0, 1] = 1e-9
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym3_eig(stack)
+
+
+def test_sym3_stack_rejects_wrong_trailing_shape():
+    for shape in ((5, 3, 4), (5, 4, 3), (3,), (2, 2)):
+        with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+            sym3_eig(np.zeros(shape))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -174,6 +175,92 @@ def test_schmidt_257_scan_matches_analytic():
         assert rep.pi_term == pytest.approx(2.0 * c[k - 1] ** 2, abs=1e-12)
         assert rep.value == pytest.approx(2.0 * math.sqrt(tau1 + tau2) + 2.0 * c[k - 1] ** 2,
                                           abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.sampled_from(sorted(FAMILIES)), st.integers(0, 2**32 - 1))
+def test_every_k_batch_matches_single_k_and_references(n, family, seed):
+    # A row does not depend on the batch or the chunk it is computed in:
+    # scan rows equal the single-k reports exactly, and so do the moments
+    # when each chunk holds only 1, 2 or 3 indices.
+    state = FAMILIES[family](np.random.default_rng(seed), n)
+    ks = range(1, n + 1)
+    reports = scan_k(state)
+    for k in ks:
+        assert reports[k - 1] == max_violation_closed_form(state, k)
+    batch = violation._moments(state, ks)
+    with pytest.MonkeyPatch.context() as patch:
+        for rows in (1, 2, 3):
+            patch.setattr(violation, "_CHUNK_BYTES", rows * violation._row_bytes(state))
+            assert np.array_equal(violation._moments(state, ks), batch)
+            assert scan_k(state) == reports
+    rho = as_density(state)
+    for k, t in zip(ks, batch):
+        for reference in (kron_trace_reference, einsum_reference):
+            r_ref, g_ref, h_ref, p_ref = reference(rho, k)
+            np.testing.assert_allclose(t[:3, :3], r_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(t[:3, 3], g_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(t[3, :3], h_ref, rtol=0, atol=1e-12)
+            assert abs(t[3, 3] - p_ref) <= 1e-12
+
+
+def test_chunks_hold_the_budget(monkeypatch):
+    # Each chunk takes as many indices as the budget allows, in order.
+    sizes = []
+    entries = violation._entries
+
+    def recording(dim, ks):
+        sizes.append(len(ks))
+        return entries(dim, ks)
+
+    monkeypatch.setattr(violation, "_entries", recording)
+    state = sampling.mixed_density(np.random.default_rng(3), 7)
+    monkeypatch.setattr(violation, "_CHUNK_BYTES", 3 * violation._row_bytes(state))
+    violation._moments(state, range(1, 8))
+    assert sizes == [3, 3, 1]
+
+
+def test_nan_cross_term_does_not_certify(monkeypatch):
+    # max(0.0, nan) is 0.0, so a running max with max() would certify a NaN
+    # cross term; the report rule keeps it, for one k and for the batch.
+    moments = violation._moments
+
+    def nan_in_h(state, ks):
+        t = moments(state, ks)
+        t[:, 3, 0] = np.nan
+        return t
+
+    monkeypatch.setattr(violation, "_moments", nan_in_h)
+    even = SchmidtState(2, (HALF, HALF))  # g = 0 exactly
+    assert max_violation_closed_form(even, 1).formula_valid is False
+    assert not any(rep.formula_valid for rep in scan_k(EXAMPLE_STATE))
+
+
+def test_scan_at_pair_budget_stays_in_chunk_budget():
+    # At the cap a Schmidt scan finishes; every k of an odd N near it
+    # holds at most twice the chunk budget, where unchunked index tables
+    # alone would take 67 MB each.
+    rng = np.random.default_rng(2048)
+    assert len(scan_k(sampling.schmidt_state(rng, violation.MAX_PAIR_DIM))) == 2048
+    state = sampling.schmidt_state(rng, violation.MAX_PAIR_DIM - 1)
+    tracemalloc.start()
+    try:
+        reports = scan_k(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 2047 and all(rep.formula_valid for rep in reports)
+    assert peak < 2 * violation._CHUNK_BYTES
+    # One past the cap fails before anything is allocated.
+    state = sampling.schmidt_state(rng, violation.MAX_PAIR_DIM + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(states.DomainError, match=f"cap is N={violation.MAX_PAIR_DIM}"):
+            scan_k(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_384
 
 
 def test_pair_block_budget():
