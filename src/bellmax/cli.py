@@ -158,7 +158,8 @@ def cmd_violation(args) -> int:
     if args.method == "closed":
         sys.stdout.write(reporting.to_json({"manifest": manifest, **closed.to_dict()}))
         return EXIT_OK
-    oracle = chosen if chosen.method == "oracle" else oracle_report(state, closed, cfg)
+    oracle = chosen if chosen.method == "oracle" else oracle_report(
+        closed, seesaw_maximize(state, closed.k, cfg))
     if args.method == "oracle":
         payload = {"manifest": manifest, **oracle.to_dict()}
     else:

@@ -7,11 +7,13 @@ to a stationary point is guaranteed. Restart 0 starts from the settings
 that attain the closed-form value, which means the oracle can only
 disagree with the closed form if the closed form itself is wrong; the
 remaining restarts probe for anything the closed form might have missed.
+Every (k, restart) pair is one row of a single array ascent (``_climb``):
+a call runs one batch, and ``violation.best_k`` runs every k in one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,13 +21,15 @@ from .linalg import hermitian_eigenvalues
 from .operators import BellSettings, GammaSet, bell_operator, make_gamma_set
 from .sampling import unit3
 from .states import QuantumState, as_density
-from .violation import (
-    _AXIS_FALLBACKS,
-    CorrelationData,
-    _unit_or,
-    correlation_data,
-    optimal_settings,
-)
+# correlation_data is unused here; kept because the traced bench wraps it (ROADMAP direction 1).
+from .violation import (_AXIS_FALLBACKS, CorrelationData, _correlation_row, _spectra, _sum3,
+                        _unit, correlation_data, optimal_settings)  # noqa: F401
+
+#: Rows (k, restart) per chunk of the ascent: a huge ``restarts`` runs in bounded memory.
+_CHUNK_ROWS = 1024
+
+#: A party's first vector takes the sum of the other party's pair, its second the difference.
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -61,91 +65,98 @@ def bell_value(state: QuantumState, settings: BellSettings) -> float:
     return float(complex(np.einsum("rc,cr->", rho.rho, operator)).real)
 
 
-def _value(corr: CorrelationData, a1, a2, b1, b2) -> float:
-    """``a1.R(b1+b2) + a2.R(b1-b2) + 2 a1.g + 2 b1.h + 2p``."""
-    r = corr.r
-    return float(a1 @ (r @ (b1 + b2)) + a2 @ (r @ (b1 - b2))
-                 + 2.0 * (a1 @ corr.g) + 2.0 * (b1 @ corr.h) + 2.0 * corr.p)
+def _targets(cols: np.ndarray, shift, other: np.ndarray) -> np.ndarray:
+    """``(M (o1 + o2) + shift, M (o1 - o2))`` for the other party's pair ``(o1, o2)``, with
+    components on the leading axis and rows on the last: ``cols[c, i, 0] = M[i, c]``."""
+    target = _sum3(cols * (other[:, :1] + _SIGNS * other[:, 1:])[:, None])
+    target[:, 0] += shift
+    return target
+
+
+def _value(b_targets: np.ndarray, a: np.ndarray, b: np.ndarray, g2, p2) -> np.ndarray:
+    """``a1.R(b1+b2) + a2.R(b1-b2) + 2 a1.g + 2 b1.h + 2p``, as ``b1.t1 + b2.t2 + 2 a1.g
+    + 2p`` with the b-step targets ``(t1, t2) = (R^T(a1+a2) + 2h, R^T(a1-a2))``."""
+    dots = _sum3(b * b_targets)
+    return dots[0] + dots[1] + _sum3(a[:, 0] * g2) + p2
 
 
 def bell_value_from_correlations(corr: CorrelationData, settings: BellSettings) -> float:
     """Same expectation from the 3x3 correlation data (``_value``); it
     agrees with the direct trace to rounding, which the test suite asserts."""
-    return _value(corr, settings.a1, settings.a2, settings.b1, settings.b2)
+    v = np.array([settings.a1, settings.a2, settings.b1, settings.b2]).T[..., None]
+    b_targets = _targets(corr.r[..., None, None], 2.0 * corr.h[:, None], v[:, :2])
+    return float(_value(b_targets, v[:, :2], v[:, 2:], 2.0 * corr.g[:, None], 2.0 * corr.p)[0])
 
 
-def _project_start(vectors):
-    return tuple(_unit_or(np.array([v[0], 0.0, v[2]]), fallback)
-                 for v, fallback in zip(vectors, _AXIS_FALLBACKS))
+def _climb(cols, cols_t, g2, h2, p2, starts: np.ndarray, cfg: SeesawConfig):
+    """See-saw every row of ``starts = (a1, a2, b1, b2)``, ``(3, 4, n)`` with rows last,
+    against its own ``R`` (``cols[c, i, 0] = R[i, c]``, ``cols_t`` for ``R^T``), ``2g``,
+    ``2h`` ``(3, n)`` and ``2p`` ``(n,)``. An update of norm below 1e-300 keeps the old
+    vector, and a mask freezes each row at the first iteration that moves its value by at
+    most ``cfg.tol``. Returns each row's value, iterations, convergence and vectors."""
+    a, b = starts[:, :2], starts[:, 2:]
+    value = _value(_targets(cols_t, h2, a), a, b, g2, p2)
+    used, running = np.zeros(value.shape, int), np.ones(value.shape, bool)
+    for _ in range(cfg.max_iters):
+        a = np.where(running, _unit(_targets(cols, g2, b), a, 1e-300), a)
+        b_targets = _targets(cols_t, h2, a)
+        b = np.where(running, _unit(b_targets, b, 1e-300), b)
+        updated = _value(b_targets, a, b, g2, p2)  # a frozen row keeps its bits
+        used += running
+        running &= ~(np.abs(updated - value) <= cfg.tol)
+        value = updated
+        if not np.count_nonzero(running):
+            break
+    return value, used, ~running, np.concatenate((a, b), 1)
 
 
-def _step(target: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(target))
-    if norm < 1e-300:
-        # Degenerate update (e.g. rank-deficient R): keep the old direction.
-        return previous
-    return target / norm
+def _seesaw_batch(state: QuantumState, ks, cfg: SeesawConfig | None = None,
+                  constrain_y: bool = False) -> list[OracleResult]:
+    """``seesaw_maximize`` at every k in ``ks``: one ``_spectra`` batch, then one
+    ascent of every (k, restart) row, in chunks of at most ``_CHUNK_ROWS`` rows."""
+    cfg = cfg if cfg is not None else SeesawConfig()
+    corrs = [_correlation_row(k, *row) for k, *row in zip(ks, *_spectra(state, ks))]
+    warm = np.array([[s.a1, s.a2, s.b1, s.b2] for s in map(optimal_settings, corrs)])
+    r, g, h, p = (np.array([getattr(c, name) for c in corrs]) for name in "rghp")
+    if constrain_y:  # after the warm start; tau1, tau2, vectors go unread
+        r[:, 1, :] = r[:, :, 1] = g[:, 1] = h[:, 1] = 0.0
+    stacks = r.T[:, :, None], r.T.swapaxes(0, 1)[:, :, None], 2.0 * g.T, 2.0 * h.T, 2.0 * p
+    rng, step = np.random.default_rng(cfg.seed), max(1, _CHUNK_ROWS // len(ks))
+    records = [[] for _ in ks]  # per k: runs that beat all earlier runs, within cfg.tol of the best
+    for first in range(0, cfg.restarts, step):
+        # Every k gets the same starts, drawn in restart order just before their chunk.
+        count, warm_slots = min(step, cfg.restarts - first), int(first == 0)
+        starts = np.empty((3, 4, len(ks), count))
+        starts[..., :warm_slots] = warm.T[..., None]
+        starts[..., warm_slots:] = np.reshape(
+            [unit3(rng) for _ in range(4 * (count - warm_slots))], (-1, 4, 3)).T[:, :, None]
+        if constrain_y:
+            starts[1] = 0.0
+            starts = _unit(starts, _AXIS_FALLBACKS.T[..., None, None])
+        rows = np.repeat(np.arange(len(ks)), count)  # k-major, as starts
+        runs = _climb(*(x[..., rows] for x in stacks), starts.reshape(3, 4, -1), cfg)
+        for row, run in zip(rows, zip(*(x.tolist() for x in runs[:3]), runs[3].T)):
+            rec = records[row]
+            if not rec or run[0] > rec[-1][0]:
+                rec[:] = [old for old in rec if old[0] >= run[0] - cfg.tol] + [run]
+    return [OracleResult(value, BellSettings(*vectors, k=k), iterations, cfg.restarts, converged)
+            for k, ((value, iterations, converged, vectors), *_) in zip(ks, records)]
 
 
-def _ascend(corr: CorrelationData, start, cfg: SeesawConfig):
-    """One see-saw run; returns (value, vectors, iterations, converged).
-    ``_step`` never writes to a vector, so the start needs no copy."""
-    r = corr.r
-    rt = r.T
-    g2 = 2.0 * corr.g
-    h2 = 2.0 * corr.h
-    a1, a2, b1, b2 = start
-    current = _value(corr, a1, a2, b1, b2)
-    for iterations in range(1, cfg.max_iters + 1):
-        a1 = _step(r @ (b1 + b2) + g2, a1)
-        a2 = _step(r @ (b1 - b2), a2)
-        b1 = _step(rt @ (a1 + a2) + h2, b1)
-        b2 = _step(rt @ (a1 - a2), b2)
-        updated = _value(corr, a1, a2, b1, b2)
-        if abs(updated - current) <= cfg.tol:
-            return updated, (a1, a2, b1, b2), iterations, True
-        current = updated
-    return current, (a1, a2, b1, b2), cfg.max_iters, False
-
-
-def seesaw_maximize(
-    state: QuantumState,
-    k: int,
-    cfg: SeesawConfig | None = None,
-    constrain_y: bool = False,
-) -> OracleResult:
+def seesaw_maximize(state: QuantumState, k: int, cfg: SeesawConfig | None = None,
+                    constrain_y: bool = False) -> OracleResult:
     """Maximise the four-term value over settings for a fixed state.
 
-    Exact coordinate updates: ``a1 <- unit(R(b1+b2) + 2g)``,
-    ``a2 <- unit(R(b1-b2))``, then ``b1 <- unit(R^T(a1+a2) + 2h)``,
-    ``b2 <- unit(R^T(a1-a2))``, until the objective change drops below
-    ``cfg.tol``. With ``constrain_y`` the y parts of ``R``, ``g`` and ``h``
-    are zeroed once the warm start is taken, and the starts are projected,
-    so every update stays in the x-z plane. Identical seed and config
-    give bit-identical results. Restarts are independent, and the lowest
-    restart whose value is within ``cfg.tol`` of the best is reported.
+    Exact coordinate updates: ``a1 <- unit(R(b1+b2) + 2g)``, ``a2 <- unit(R(b1-b2))``,
+    then ``b1 <- unit(R^T(a1+a2) + 2h)``, ``b2 <- unit(R^T(a1-a2))``, until the objective
+    change drops below ``cfg.tol``. With ``constrain_y`` the y parts of ``R``, ``g`` and
+    ``h`` are zeroed once the warm start is taken, and the starts are projected, so every
+    update stays in the x-z plane. Identical seed and config give bit-identical results.
+    Restarts are independent rows of one array batch, row 0 of the ``_seesaw_batch`` that
+    ``best_k`` runs for every k at once; the lowest restart whose value is within
+    ``cfg.tol`` of the best is reported.
     """
-    cfg = cfg if cfg is not None else SeesawConfig()
-    corr = correlation_data(state, k)
-    rng = np.random.default_rng(cfg.seed)
-
-    warm = optimal_settings(corr)
-    if constrain_y:
-        r, g, h = corr.r.copy(), corr.g.copy(), corr.h.copy()
-        r[1, :] = r[:, 1] = g[1] = h[1] = 0.0
-        corr = replace(corr, r=r, g=g, h=h)  # tau1, tau2, vectors go unread
-    records = []  # runs that beat every earlier run, each within cfg.tol of the best
-    for restart in range(cfg.restarts):
-        # _ascend draws nothing, so drawing each start here keeps the order.
-        vectors = ((warm.a1, warm.a2, warm.b1, warm.b2) if restart == 0
-                   else tuple(unit3(rng) for _ in range(4)))
-        run = _ascend(corr, _project_start(vectors) if constrain_y else vectors, cfg)
-        if not records or run[0] > records[-1][0]:
-            records = [rec for rec in records if rec[0] >= run[0] - cfg.tol] + [run]
-    value, (a1, a2, b1, b2), iterations, converged = records[0]
-    return OracleResult(value=value, settings=BellSettings(a1, a2, b1, b2, k=k),
-                        iterations_used=iterations, restarts_used=cfg.restarts,
-                        converged=converged)
+    return _seesaw_batch(state, [k], cfg, constrain_y)[0]
 
 
 def spectral_max(gamma: GammaSet, settings: BellSettings) -> float:

@@ -139,14 +139,18 @@ def _spectra(state: QuantumState, ks):
     return (t, *sym3_eig(r.swapaxes(1, 2) @ r))
 
 
-def correlation_data(state: QuantumState, k: int) -> CorrelationData:
-    """Exact ``R``, ``g``, ``h``, ``p`` and ``R^T R`` eigenpairs for (state, k), from row 0."""
-    t, values, vectors = (a[0] for a in _spectra(state, [k]))
+def _correlation_row(k: int, t, values, vectors) -> CorrelationData:
+    """``CorrelationData`` at ``k`` from its row of ``_spectra``, with read-only copies."""
     r, g, h = (block.copy() for block in (t[:3, :3], t[:3, 3], t[3, :3]))
     for block in (r, g, h, vectors):
         block.setflags(write=False)
     tau1, tau2 = np.maximum(values[:2], 0.0).tolist()
     return CorrelationData(k, r, g, h, float(t[3, 3]), tau1, tau2, vectors)
+
+
+def correlation_data(state: QuantumState, k: int) -> CorrelationData:
+    """Exact ``R``, ``g``, ``h``, ``p`` and ``R^T R`` eigenpairs for (state, k), from row 0."""
+    return _correlation_row(k, *(a[0] for a in _spectra(state, [k])))
 
 
 def _violates(value: float) -> bool:
@@ -155,14 +159,20 @@ def _violates(value: float) -> bool:
 
 
 #: Directions of a1, a2, b1, b2 where the vector to normalise vanishes.
-_AXIS_FALLBACKS = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)) * 2
+_AXIS_FALLBACKS = np.array(((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)) * 2)
 
 
-def _unit_or(vec: np.ndarray, fallback) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    if norm < 1e-12:
-        return np.asarray(fallback, dtype=float)
-    return vec / norm
+def _sum3(x: np.ndarray) -> np.ndarray:
+    """Sum over a leading axis of length 3 by elementwise adds: no bit depends on the batch."""
+    return x[0] + x[1] + x[2]
+
+
+def _unit(vec: np.ndarray, fallback, floor: float = 1e-12) -> np.ndarray:
+    """The vectors along the leading axis of ``vec`` over their norms, or ``fallback``
+    where a norm is below ``floor``."""
+    norm = np.sqrt(_sum3(vec * vec))
+    short = norm < floor
+    return np.where(short, fallback, vec / np.where(short, 1.0, norm))
 
 
 def optimal_settings(corr: CorrelationData) -> BellSettings:
@@ -179,8 +189,8 @@ def optimal_settings(corr: CorrelationData) -> BellSettings:
     theta = math.atan2(n2, n1)
     b1 = math.cos(theta) * c1 + math.sin(theta) * c2
     b2 = math.cos(theta) * c1 - math.sin(theta) * c2
-    a1 = _unit_or(corr.r @ (b1 + b2) + 2.0 * corr.g, _AXIS_FALLBACKS[0])
-    a2 = _unit_or(corr.r @ (b1 - b2), _AXIS_FALLBACKS[1])
+    a1 = _unit(corr.r @ (b1 + b2) + 2.0 * corr.g, _AXIS_FALLBACKS[0])
+    a2 = _unit(corr.r @ (b1 - b2), _AXIS_FALLBACKS[1])
     return BellSettings(a1, a2, b1, b2, k=corr.k)
 
 
@@ -216,16 +226,13 @@ def scan_k(state: QuantumState) -> list[ViolationReport]:
     return [replace(first, k=k) for k in ks]
 
 
-def oracle_report(state: QuantumState, closed: ViolationReport, cfg=None) -> ViolationReport:
-    """See-saw value at ``closed.k``, next to that index's closed-form data.
+def oracle_report(closed: ViolationReport, result) -> ViolationReport:
+    """The see-saw ``result`` at ``closed.k``, next to that index's closed-form data.
 
     ``tau1``, ``tau2``, ``pi_term`` and ``formula_valid`` are carried over
     from the closed-form report ``closed`` of the same state.
     """
-    from .seesaw import seesaw_maximize
-
-    value = seesaw_maximize(state, closed.k, cfg).value
-    return replace(closed, value=value, violated=_violates(value), method="oracle")
+    return replace(closed, value=result.value, violated=_violates(result.value), method="oracle")
 
 
 def best_k(state: QuantumState, cfg=None, reports=None) -> ViolationReport:
@@ -235,16 +242,19 @@ def best_k(state: QuantumState, cfg=None, reports=None) -> ViolationReport:
     reports are all equal, gives its ``k = 1`` report. If no index
     certifies the closed form for an odd-dimension mixed state, the best
     see-saw value (``cfg`` configures it) is returned with
-    ``formula_valid=False`` and ``method="oracle"``. ``reports`` are the
-    candidate closed-form reports, ``scan_k(state)`` when not given.
+    ``formula_valid=False`` and ``method="oracle"``; one see-saw batch runs
+    every k, each row bit-equal to ``seesaw_maximize`` at its k. ``reports``
+    are the candidate closed-form reports, ``scan_k(state)`` when not given.
     """
     reports = reports if reports is not None else scan_k(state)
     certified = [rep for rep in reports if rep.formula_valid]
     if certified:
         # max keeps the first of equal values, i.e. the smallest k
         return max(certified, key=lambda rep: rep.value)
-    return max((oracle_report(state, rep, cfg) for rep in reports),
-               key=lambda rep: rep.value)
+    from .seesaw import _seesaw_batch
+
+    results = _seesaw_batch(state, [rep.k for rep in reports], cfg)
+    return max(map(oracle_report, reports, results), key=lambda rep: rep.value)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -9,14 +9,19 @@ from bellmax.operators import BellSettings, make_gamma_set
 from bellmax.seesaw import (
     OracleResult,
     SeesawConfig,
-    _ascend,
+    _seesaw_batch,
     bell_value,
     bell_value_from_correlations,
     seesaw_maximize,
     spectral_max,
 )
 from bellmax.states import DensityMatrix, IsotropicState, SchmidtState, as_density
-from bellmax.violation import correlation_data, max_violation_closed_form
+from bellmax.violation import (
+    best_k,
+    correlation_data,
+    max_violation_closed_form,
+    optimal_settings,
+)
 
 ROOT2 = math.sqrt(2.0)
 HALF = 1.0 / ROOT2
@@ -144,11 +149,13 @@ def test_seesaw_determinism():
 def test_seesaw_pick_survives_one_ulp_in_r(monkeypatch):
     # Schmidt states at k = N: several restarts reach the same optimum,
     # with values that differ only in the last bits.
-    correlation = seesaw.correlation_data
+    spectra = seesaw._spectra
 
-    def one_ulp_larger(state, k):
-        corr = correlation(state, k)
-        return replace(corr, r=corr.r * (1.0 + 2.0 ** -52))
+    def one_ulp_larger(state, ks):
+        t, values, vectors = spectra(state, ks)
+        t = t.copy()
+        t[:, :3, :3] *= 1.0 + 2.0 ** -52
+        return t, values, vectors
 
     rng = np.random.default_rng(0)
     for n, constrain_y in ((3, False), (3, True), (5, False), (5, True)):
@@ -156,9 +163,9 @@ def test_seesaw_pick_survives_one_ulp_in_r(monkeypatch):
             state = sampling.schmidt_state(rng, n)
             cfg = SeesawConfig(restarts=8, seed=seed)
             base = seesaw_maximize(state, n, cfg, constrain_y=constrain_y)
-            monkeypatch.setattr(seesaw, "correlation_data", one_ulp_larger)
+            monkeypatch.setattr(seesaw, "_spectra", one_ulp_larger)
             moved = seesaw_maximize(state, n, cfg, constrain_y=constrain_y)
-            monkeypatch.setattr(seesaw, "correlation_data", correlation)
+            monkeypatch.setattr(seesaw, "_spectra", spectra)
             assert moved.iterations_used == base.iterations_used
             for name in ("a1", "a2", "b1", "b2"):
                 np.testing.assert_allclose(getattr(moved.settings, name),
@@ -166,8 +173,8 @@ def test_seesaw_pick_survives_one_ulp_in_r(monkeypatch):
 
 
 def test_seesaw_draws_each_start_when_its_restart_runs(monkeypatch):
-    # A start is drawn only when its restart begins, so a huge restart
-    # count allocates nothing up front; restart 0 is the warm start.
+    # Starts are drawn a chunk at a time, just before the chunk's ascent, so
+    # a huge restart count draws and allocates at most one chunk up front.
     draws = []
 
     def counting_unit3(rng):
@@ -178,34 +185,173 @@ def test_seesaw_draws_each_start_when_its_restart_runs(monkeypatch):
         raise RuntimeError("first ascent")
 
     monkeypatch.setattr(seesaw, "unit3", counting_unit3)
-    monkeypatch.setattr(seesaw, "_ascend", first_ascent)
+    monkeypatch.setattr(seesaw, "_climb", first_ascent)
     with pytest.raises(RuntimeError, match="first ascent"):
-        seesaw_maximize(EXAMPLE_STATE, 2, SeesawConfig(restarts=1000))
-    assert draws == []
+        seesaw_maximize(EXAMPLE_STATE, 2, SeesawConfig(restarts=100 * seesaw._CHUNK_ROWS))
+    assert len(draws) <= 4 * seesaw._CHUNK_ROWS
 
 
 def test_seesaw_ascent_monotone(monkeypatch):
-    # Every value _ascend computes, recorded through its _value calls.
-    history = []
-    value = seesaw._value
+    # Every row of the batch, after each of m = 0, 1, ..., 30 iterations (runs
+    # cut at max_iters = m): its value never decreases, and once the row has
+    # stopped, its value and iteration count stay put.
+    climb = seesaw._climb
+    runs = []
 
-    def recording_value(*args):
-        history.append(value(*args))
-        return history[-1]
+    def recording_climb(cols, cols_t, g2, h2, p2, starts, cfg):
+        if not runs:
+            a, b = starts[:, :2], starts[:, 2:]
+            runs.append((seesaw._value(seesaw._targets(cols_t, h2, a), a, b, g2, p2),))
+        runs.append(climb(cols, cols_t, g2, h2, p2, starts, cfg))
+        return runs[-1]
 
-    monkeypatch.setattr(seesaw, "_value", recording_value)
+    monkeypatch.setattr(seesaw, "_climb", recording_climb)
     rng = np.random.default_rng(71)
-    cfg = SeesawConfig(restarts=1, max_iters=200, tol=1e-14, seed=5)
-    for _ in range(15):
+    for _ in range(10):
         n = int(rng.integers(2, 6))
-        k = int(rng.integers(1, n + 1))
-        corr = correlation_data(sampling.mixed_density(rng, n), k)
-        start = tuple(sampling.unit3(rng) for _ in range(4))
-        history.clear()
-        _, _, iterations, _ = _ascend(corr, start, cfg)
-        assert len(history) == iterations + 1
-        diffs = np.diff(history)
-        assert np.all(diffs >= -1e-12)
+        state = sampling.mixed_density(rng, n)
+        runs.clear()
+        for m in range(1, 31):
+            cfg = SeesawConfig(restarts=4, max_iters=m, tol=1e-14, seed=5)
+            _seesaw_batch(state, range(1, n + 1), cfg)
+        values = np.array([run[0] for run in runs])
+        assert values.shape == (31, 4 * n)
+        assert np.all(np.diff(values, axis=0) >= -1e-12)
+        final_used, final_converged = runs[-1][1], runs[-1][2]
+        for m, (value, used, converged, _) in enumerate(runs[1:], start=1):
+            stopped = final_converged & (final_used <= m)
+            assert np.array_equal(converged, stopped)
+            assert np.array_equal(used, np.where(stopped, final_used, m))
+            assert np.array_equal(value[stopped], values[-1][stopped])
+
+
+def seesaw_reference(state, k, cfg, constrain_y=False):
+    """The see-saw one restart at a time on 3-vectors, as it ran before the batch:
+    returns the picked (value, (a1, a2, b1, b2), iterations, converged)."""
+    corr = correlation_data(state, k)
+    warm = optimal_settings(corr)
+    r, g, h = corr.r.copy(), corr.g.copy(), corr.h.copy()
+    if constrain_y:
+        r[1, :] = r[:, 1] = g[1] = h[1] = 0.0
+
+    def value(a1, a2, b1, b2):
+        return float(a1 @ (r @ (b1 + b2)) + a2 @ (r @ (b1 - b2))
+                     + 2.0 * (a1 @ g) + 2.0 * (b1 @ h) + 2.0 * corr.p)
+
+    def step(target, previous):
+        norm = float(np.linalg.norm(target))
+        return previous if norm < 1e-300 else target / norm
+
+    def project(v, fallback):
+        v = np.array([v[0], 0.0, v[2]])
+        norm = float(np.linalg.norm(v))
+        return np.array(fallback, dtype=float) if norm < 1e-12 else v / norm
+
+    def ascend(a1, a2, b1, b2):
+        current = value(a1, a2, b1, b2)
+        for iterations in range(1, cfg.max_iters + 1):
+            a1 = step(r @ (b1 + b2) + 2.0 * g, a1)
+            a2 = step(r @ (b1 - b2), a2)
+            b1 = step(r.T @ (a1 + a2) + 2.0 * h, b1)
+            b2 = step(r.T @ (a1 - a2), b2)
+            updated = value(a1, a2, b1, b2)
+            if abs(updated - current) <= cfg.tol:
+                return updated, (a1, a2, b1, b2), iterations, True
+            current = updated
+        return current, (a1, a2, b1, b2), cfg.max_iters, False
+
+    rng = np.random.default_rng(cfg.seed)
+    records = []
+    for restart in range(cfg.restarts):
+        vectors = ((warm.a1, warm.a2, warm.b1, warm.b2) if restart == 0
+                   else tuple(sampling.unit3(rng) for _ in range(4)))
+        if constrain_y:
+            vectors = tuple(map(project, vectors, ((0, 0, 1), (1, 0, 0)) * 2))
+        run = ascend(*vectors)
+        if not records or run[0] > records[-1][0]:
+            records = [rec for rec in records if rec[0] >= run[0] - cfg.tol] + [run]
+    return records[0]
+
+
+def test_seesaw_batch_matches_per_restart_reference():
+    rng = np.random.default_rng(2024)
+    draw = (sampling.pure_density, sampling.mixed_density, sampling.schmidt_state)
+    cases = []
+    for idx in range(102):
+        n = 2 + idx % 6
+        cases.append((draw[idx % 3](rng, n), int(rng.integers(1, n + 1)), idx % 4 == 3))
+    for n in (2, 3):  # R = 0: every update degenerates
+        cases.append((DensityMatrix(n, np.eye(n * n, dtype=complex) / (n * n)), 1, False))
+    for idx, (state, k, constrain_y) in enumerate(cases):
+        cfg = SeesawConfig(restarts=8, seed=idx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = seesaw_maximize(state, k, cfg, constrain_y=constrain_y)
+        value, vectors, iterations, converged = seesaw_reference(state, k, cfg, constrain_y)
+        assert abs(res.value - value) <= 1e-12
+        assert (res.iterations_used, res.converged) == (iterations, converged)
+        for name, vec in zip(("a1", "a2", "b1", "b2"), vectors):
+            np.testing.assert_allclose(getattr(res.settings, name), vec, rtol=0, atol=1e-9)
+
+
+def _assert_same_result(first, second):
+    assert first.value == second.value
+    assert first.iterations_used == second.iterations_used
+    assert first.converged == second.converged
+    for name in ("a1", "a2", "b1", "b2"):
+        assert np.array_equal(getattr(first.settings, name), getattr(second.settings, name))
+
+
+def test_best_k_fallback_rows_equal_single_k_calls(monkeypatch):
+    # best_k runs every k of an uncertified state in one batch; each row is
+    # bit-equal to the single-k call.
+    batch = seesaw._seesaw_batch
+    rows = []
+
+    def recording_batch(*args):
+        rows.extend(batch(*args))
+        return rows
+
+    rng = np.random.default_rng(37)
+    cfg = SeesawConfig(seed=4)
+    for n in (3, 3, 5, 5, 7):
+        state = sampling.mixed_density(rng, n)
+        rows.clear()
+        monkeypatch.setattr(seesaw, "_seesaw_batch", recording_batch)
+        fallback = best_k(state, cfg)
+        monkeypatch.setattr(seesaw, "_seesaw_batch", batch)
+        assert fallback.method == "oracle"
+        assert [row.settings.k for row in rows] == list(range(1, n + 1))
+        assert fallback.value == max(row.value for row in rows)
+        for k, row in enumerate(rows, start=1):
+            _assert_same_result(row, seesaw_maximize(state, k, cfg))
+
+
+def test_seesaw_chunks_match_one_batch(monkeypatch):
+    # Restarts beyond the row budget run in chunks; the tie rule folds them
+    # in restart order, so the pick does not depend on where chunks break.
+    climb = seesaw._climb
+    chunks = []
+
+    def counting_climb(*args):
+        chunks.append(1)
+        return climb(*args)
+
+    rng = np.random.default_rng(23)
+    cfg = SeesawConfig(restarts=13, seed=8)
+    cases = ((sampling.mixed_density(rng, 5), [1, 2, 3, 4, 5], False),
+             (sampling.pure_density(rng, 4), [2], False),
+             (sampling.schmidt_state(rng, 3), [3], True))
+    for state, ks, constrain_y in cases:
+        whole = _seesaw_batch(state, ks, cfg, constrain_y)
+        monkeypatch.setattr(seesaw, "_CHUNK_ROWS", 5)
+        monkeypatch.setattr(seesaw, "_climb", counting_climb)
+        chunks.clear()
+        chunked = _seesaw_batch(state, ks, cfg, constrain_y)
+        monkeypatch.undo()
+        assert len(chunks) >= 2
+        for first, second in zip(whole, chunked, strict=True):
+            _assert_same_result(first, second)
 
 
 def test_seesaw_ceiling():
