@@ -28,9 +28,6 @@ from .violation import (_AXIS_FALLBACKS, CorrelationData, _correlation_row, _spe
 #: Rows (k, restart) per chunk of the ascent: a huge ``restarts`` runs in bounded memory.
 _CHUNK_ROWS = 1024
 
-#: A party's first vector takes the sum of the other party's pair, its second the difference.
-_SIGNS = np.array([[1.0], [-1.0]])
-
 
 @dataclass(frozen=True)
 class SeesawConfig:
@@ -68,7 +65,7 @@ def bell_value(state: QuantumState, settings: BellSettings) -> float:
 def _targets(cols: np.ndarray, shift, other: np.ndarray) -> np.ndarray:
     """``(M (o1 + o2) + shift, M (o1 - o2))`` for the other party's pair ``(o1, o2)``, with
     components on the leading axis and rows on the last: ``cols[c, i, 0] = M[i, c]``."""
-    target = _sum3(cols * (other[:, :1] + _SIGNS * other[:, 1:])[:, None])
+    target = _sum3(cols * (other[:, :1] + [[1.0], [-1.0]] * other[:, 1:])[:, None])
     target[:, 0] += shift
     return target
 
@@ -89,11 +86,10 @@ def bell_value_from_correlations(corr: CorrelationData, settings: BellSettings) 
 
 
 def _climb(cols, cols_t, g2, h2, p2, starts: np.ndarray, cfg: SeesawConfig):
-    """See-saw every row of ``starts = (a1, a2, b1, b2)``, ``(3, 4, n)`` with rows last,
-    against its own ``R`` (``cols[c, i, 0] = R[i, c]``, ``cols_t`` for ``R^T``), ``2g``,
-    ``2h`` ``(3, n)`` and ``2p`` ``(n,)``. An update of norm below 1e-300 keeps the old
-    vector, and a mask freezes each row at the first iteration that moves its value by at
-    most ``cfg.tol``. Returns each row's value, iterations, convergence and vectors."""
+    """See-saw each row of ``starts = (a1, a2, b1, b2)``, ``(3, 4, n)``, against its ``R``
+    (``cols[c, i, 0] = R[i, c]``, ``cols_t`` for ``R^T``), ``2g``, ``2h`` ``(3, n)``, ``2p``
+    ``(n,)``: a target of norm < 1e-300 keeps the old vector, a row stops once an iteration
+    moves its value by at most ``cfg.tol``. Per row: value, iterations, converged, vectors."""
     a, b = starts[:, :2], starts[:, 2:]
     value = _value(_targets(cols_t, h2, a), a, b, g2, p2)
     used, running = np.zeros(value.shape, int), np.ones(value.shape, bool)
@@ -136,9 +132,8 @@ def _seesaw_batch(state: QuantumState, ks, cfg: SeesawConfig | None = None,
         rows = np.repeat(np.arange(len(ks)), count)  # k-major, as starts
         runs = _climb(*(x[..., rows] for x in stacks), starts.reshape(3, 4, -1), cfg)
         for row, run in zip(rows, zip(*(x.tolist() for x in runs[:3]), runs[3].T)):
-            rec = records[row]
-            if not rec or run[0] > rec[-1][0]:
-                rec[:] = [old for old in rec if old[0] >= run[0] - cfg.tol] + [run]
+            if not records[row] or run[0] > records[row][-1][0]:
+                records[row] = [old for old in records[row] if old[0] >= run[0] - cfg.tol] + [run]
     return [OracleResult(value, BellSettings(*vectors, k=k), iterations, cfg.restarts, converged)
             for k, ((value, iterations, converged, vectors), *_) in zip(ks, records)]
 
@@ -152,9 +147,8 @@ def seesaw_maximize(state: QuantumState, k: int, cfg: SeesawConfig | None = None
     change drops below ``cfg.tol``. With ``constrain_y`` the y parts of ``R``, ``g`` and
     ``h`` are zeroed once the warm start is taken, and the starts are projected, so every
     update stays in the x-z plane. Identical seed and config give bit-identical results.
-    Restarts are independent rows of one array batch, row 0 of the ``_seesaw_batch`` that
-    ``best_k`` runs for every k at once; the lowest restart whose value is within
-    ``cfg.tol`` of the best is reported.
+    Restarts are rows of one array batch, row 0 of the batch ``best_k`` runs for every k;
+    the lowest restart whose value is within ``cfg.tol`` of the best is reported.
     """
     return _seesaw_batch(state, [k], cfg, constrain_y)[0]
 

@@ -168,11 +168,9 @@ def _sum3(x: np.ndarray) -> np.ndarray:
 
 
 def _unit(vec: np.ndarray, fallback, floor: float = 1e-12) -> np.ndarray:
-    """The vectors along the leading axis of ``vec`` over their norms, or ``fallback``
-    where a norm is below ``floor``."""
+    """Vectors along the leading axis of ``vec`` over their norms; ``fallback`` below ``floor``."""
     norm = np.sqrt(_sum3(vec * vec))
-    short = norm < floor
-    return np.where(short, fallback, vec / np.where(short, 1.0, norm))
+    return np.where(norm < floor, fallback, vec / np.maximum(norm, floor))
 
 
 def optimal_settings(corr: CorrelationData) -> BellSettings:
@@ -227,11 +225,8 @@ def scan_k(state: QuantumState) -> list[ViolationReport]:
 
 
 def oracle_report(closed: ViolationReport, result) -> ViolationReport:
-    """The see-saw ``result`` at ``closed.k``, next to that index's closed-form data.
-
-    ``tau1``, ``tau2``, ``pi_term`` and ``formula_valid`` are carried over
-    from the closed-form report ``closed`` of the same state.
-    """
+    """The see-saw ``result`` at ``closed.k``; ``tau1``, ``tau2``, ``pi_term`` and
+    ``formula_valid`` carry over from ``closed``, the closed-form report at that k."""
     return replace(closed, value=result.value, violated=_violates(result.value), method="oracle")
 
 
@@ -252,7 +247,6 @@ def best_k(state: QuantumState, cfg=None, reports=None) -> ViolationReport:
         # max keeps the first of equal values, i.e. the smallest k
         return max(certified, key=lambda rep: rep.value)
     from .seesaw import _seesaw_batch
-
     results = _seesaw_batch(state, [rep.k for rep in reports], cfg)
     return max(map(oracle_report, reports, results), key=lambda rep: rep.value)
 

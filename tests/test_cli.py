@@ -130,6 +130,7 @@ def test_exit_uncertified_closed(capsys, monkeypatch, uncertified):
         raise AssertionError("the see-saw ran before the refusal")
 
     monkeypatch.setattr(seesaw, "seesaw_maximize", no_seesaw)
+    monkeypatch.setattr(seesaw, "_seesaw_batch", no_seesaw)  # best_k's fallback
     for argv in (("--k", "2", "--method", "closed"), ()):
         code, out, err = run_cli(capsys, "violation", "--state", uncertified, *argv)
         assert code == 4

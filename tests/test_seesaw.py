@@ -192,37 +192,39 @@ def test_seesaw_draws_each_start_when_its_restart_runs(monkeypatch):
 
 
 def test_seesaw_ascent_monotone(monkeypatch):
-    # Every row of the batch, after each of m = 0, 1, ..., 30 iterations (runs
-    # cut at max_iters = m): its value never decreases, and once the row has
-    # stopped, its value and iteration count stay put.
-    climb = seesaw._climb
-    runs = []
+    # Every value _climb computes, for every row of the batch, recorded through
+    # its _value calls: no row's value decreases, each row stops at its first
+    # step of at most cfg.tol, and a stopped row keeps its value's bits.
+    history, returned = [], []
+    value, climb = seesaw._value, seesaw._climb
 
-    def recording_climb(cols, cols_t, g2, h2, p2, starts, cfg):
-        if not runs:
-            a, b = starts[:, :2], starts[:, 2:]
-            runs.append((seesaw._value(seesaw._targets(cols_t, h2, a), a, b, g2, p2),))
-        runs.append(climb(cols, cols_t, g2, h2, p2, starts, cfg))
-        return runs[-1]
+    def recording_value(*args):
+        history.append(value(*args))
+        return history[-1]
 
+    def recording_climb(*args):
+        returned.append(climb(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(seesaw, "_value", recording_value)
     monkeypatch.setattr(seesaw, "_climb", recording_climb)
     rng = np.random.default_rng(71)
-    for _ in range(10):
+    cfg = SeesawConfig(restarts=4, max_iters=200, tol=1e-14, seed=5)
+    for _ in range(15):
         n = int(rng.integers(2, 6))
-        state = sampling.mixed_density(rng, n)
-        runs.clear()
-        for m in range(1, 31):
-            cfg = SeesawConfig(restarts=4, max_iters=m, tol=1e-14, seed=5)
-            _seesaw_batch(state, range(1, n + 1), cfg)
-        values = np.array([run[0] for run in runs])
-        assert values.shape == (31, 4 * n)
+        history.clear()
+        returned.clear()
+        _seesaw_batch(sampling.mixed_density(rng, n), range(1, n + 1), cfg)
+        (final, used, converged, _), = returned  # one chunk
+        values = np.array(history)
+        assert values.shape == (used.max() + 1, 4 * n)
         assert np.all(np.diff(values, axis=0) >= -1e-12)
-        final_used, final_converged = runs[-1][1], runs[-1][2]
-        for m, (value, used, converged, _) in enumerate(runs[1:], start=1):
-            stopped = final_converged & (final_used <= m)
-            assert np.array_equal(converged, stopped)
-            assert np.array_equal(used, np.where(stopped, final_used, m))
-            assert np.array_equal(value[stopped], values[-1][stopped])
+        assert np.array_equal(values[-1], final)
+        stops = np.abs(np.diff(values, axis=0)) <= cfg.tol
+        assert np.array_equal(converged, stops.any(axis=0))
+        assert np.array_equal(used, np.where(converged, stops.argmax(axis=0) + 1, cfg.max_iters))
+        for row, stop in enumerate(used):
+            assert np.all(values[stop:, row] == values[stop, row])
 
 
 def seesaw_reference(state, k, cfg, constrain_y=False):
