@@ -7,8 +7,10 @@ to a stationary point is guaranteed. Restart 0 starts from the settings
 that attain the closed-form value, which means the oracle can only
 disagree with the closed form if the closed form itself is wrong; the
 remaining restarts probe for anything the closed form might have missed.
-Every (k, restart) pair is one row of a single array ascent (``_climb``):
-a call runs one batch, and ``violation.best_k`` runs every k in one.
+A problem is one (state, k, config), and every (problem, restart) pair
+is one row of a single array ascent (``_climb``). A call runs one
+problem, ``violation.best_k`` runs every k of a state in one batch, and
+each closed-vs-see-saw check of ``verify`` runs all of its cases in one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .states import QuantumState, as_density
 from .violation import (_AXIS_FALLBACKS, CorrelationData, _correlation_row, _spectra, _sum3,
                         _unit, correlation_data, optimal_settings)  # noqa: F401
 
-#: Rows (k, restart) per chunk of the ascent: a huge ``restarts`` runs in bounded memory.
+#: Rows (problem, restart) per chunk of the ascent: a huge ``restarts`` runs in bounded memory.
 _CHUNK_ROWS = 1024
 
 
@@ -106,36 +108,49 @@ def _climb(cols, cols_t, g2, h2, p2, starts: np.ndarray, cfg: SeesawConfig):
     return value, used, ~running, np.concatenate((a, b), 1)
 
 
-def _seesaw_batch(state: QuantumState, ks, cfg: SeesawConfig | None = None,
-                  constrain_y: bool = False) -> list[OracleResult]:
-    """``seesaw_maximize`` at every k in ``ks``: one ``_spectra`` batch, then one
-    ascent of every (k, restart) row, in chunks of at most ``_CHUNK_ROWS`` rows."""
-    cfg = cfg if cfg is not None else SeesawConfig()
-    corrs = [_correlation_row(k, *row) for k, *row in zip(ks, *_spectra(state, ks))]
+def _seesaw_batch(problems, constrain_y: bool = False) -> list[OracleResult]:
+    """``seesaw_maximize`` for every ``(state, k, cfg)`` in ``problems``, whose configs may
+    differ only in ``seed``: one ``_spectra`` call per distinct state, then one ascent of
+    every (problem, restart) row, in restart chunks of at most ``_CHUNK_ROWS`` rows."""
+    cfgs = [cfg if cfg is not None else SeesawConfig() for _, _, cfg in problems]
+    cfg = cfgs[0]
+    if len({(c.restarts, c.max_iters, c.tol) for c in cfgs}) > 1:
+        raise ValueError("the configs of one see-saw batch may differ only in seed")
+    corrs, by_state = [None] * len(problems), {}
+    for idx, (state, _, _) in enumerate(problems):
+        by_state.setdefault(id(state), (state, []))[1].append(idx)
+    for state, idxs in by_state.values():
+        ks = [problems[idx][1] for idx in idxs]
+        for idx, k, *row in zip(idxs, ks, *_spectra(state, ks)):
+            corrs[idx] = _correlation_row(k, *row)
     warm = np.array([[s.a1, s.a2, s.b1, s.b2] for s in map(optimal_settings, corrs)])
     r, g, h, p = (np.array([getattr(c, name) for c in corrs]) for name in "rghp")
     if constrain_y:  # after the warm start; tau1, tau2, vectors go unread
         r[:, 1, :] = r[:, :, 1] = g[:, 1] = h[:, 1] = 0.0
     stacks = r.T[:, :, None], r.T.swapaxes(0, 1)[:, :, None], 2.0 * g.T, 2.0 * h.T, 2.0 * p
-    rng, step = np.random.default_rng(cfg.seed), max(1, _CHUNK_ROWS // len(ks))
-    records = [[] for _ in ks]  # per k: runs that beat all earlier runs, within cfg.tol of the best
+    seeds = list(dict.fromkeys(c.seed for c in cfgs))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    which = [seeds.index(c.seed) for c in cfgs]
+    step = max(1, _CHUNK_ROWS // len(problems))
+    records = [[] for _ in problems]  # runs that beat all earlier runs, within cfg.tol of the best
     for first in range(0, cfg.restarts, step):
-        # Every k gets the same starts, drawn in restart order just before their chunk.
+        # Problems with one seed share their starts, drawn in restart order just before their chunk.
         count, warm_slots = min(step, cfg.restarts - first), int(first == 0)
-        starts = np.empty((3, 4, len(ks), count))
+        drawn = [[unit3(rng) for _ in range(4 * (count - warm_slots))] for rng in rngs]
+        starts = np.empty((3, 4, len(problems), count))
         starts[..., :warm_slots] = warm.T[..., None]
         starts[..., warm_slots:] = np.reshape(
-            [unit3(rng) for _ in range(4 * (count - warm_slots))], (-1, 4, 3)).T[:, :, None]
+            drawn, (len(rngs), count - warm_slots, 4, 3))[which].transpose(3, 2, 0, 1)
         if constrain_y:
             starts[1] = 0.0
             starts = _unit(starts, _AXIS_FALLBACKS.T[..., None, None])
-        rows = np.repeat(np.arange(len(ks)), count)  # k-major, as starts
+        rows = np.repeat(np.arange(len(problems)), count)  # problem-major, as starts
         runs = _climb(*(x[..., rows] for x in stacks), starts.reshape(3, 4, -1), cfg)
         for row, run in zip(rows, zip(*(x.tolist() for x in runs[:3]), runs[3].T)):
             if not records[row] or run[0] > records[row][-1][0]:
                 records[row] = [old for old in records[row] if old[0] >= run[0] - cfg.tol] + [run]
     return [OracleResult(value, BellSettings(*vectors, k=k), iterations, cfg.restarts, converged)
-            for k, ((value, iterations, converged, vectors), *_) in zip(ks, records)]
+            for (_, k, _), ((value, iterations, converged, vectors), *_) in zip(problems, records)]
 
 
 def seesaw_maximize(state: QuantumState, k: int, cfg: SeesawConfig | None = None,
@@ -147,10 +162,10 @@ def seesaw_maximize(state: QuantumState, k: int, cfg: SeesawConfig | None = None
     change drops below ``cfg.tol``. With ``constrain_y`` the y parts of ``R``, ``g`` and
     ``h`` are zeroed once the warm start is taken, and the starts are projected, so every
     update stays in the x-z plane. Identical seed and config give bit-identical results.
-    Restarts are rows of one array batch, row 0 of the batch ``best_k`` runs for every k;
-    the lowest restart whose value is within ``cfg.tol`` of the best is reported.
+    This is the one-problem case of ``_seesaw_batch``: every restart is a row of one array
+    ascent, and the lowest restart whose value is within ``cfg.tol`` of the best is reported.
     """
-    return _seesaw_batch(state, [k], cfg, constrain_y)[0]
+    return _seesaw_batch([(state, k, cfg)], constrain_y)[0]
 
 
 def spectral_max(gamma: GammaSet, settings: BellSettings) -> float:

@@ -214,6 +214,12 @@ def _number_grid(raw: dict, field: str, size: int) -> np.ndarray:
     rows = raw.get(field)
     if not isinstance(rows, list) or len(rows) != size:
         raise SchemaError(f"field {field!r} must be a {size}x{size} array")
+    # Fast path for rows of plain floats; the loop below names any bad entry.
+    if all(type(row) is list and len(row) == size and set(map(type, row)) == {float}
+           for row in rows):
+        grid = np.array(rows, dtype=float)
+        if np.isfinite(grid).all():
+            return grid
     grid = np.empty((size, size), dtype=float)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != size:

@@ -22,6 +22,7 @@ from .linalg import hermitian_eigenvalues
 from .operators import make_gamma_set, observable
 from .seesaw import (
     SeesawConfig,
+    _seesaw_batch,
     bell_value,
     bell_value_from_correlations,
     seesaw_maximize,
@@ -87,13 +88,14 @@ def _state_count(samples: int) -> int:
 
 
 def _closed_vs_seesaw(rng, cases, constrain_y: bool = False):
-    """Closed-form vs see-saw gaps; ``cases`` yields each state before its seed is drawn."""
-    for state, k in cases:
-        closed = max_violation_closed_form(state, k)
-        cfg = SeesawConfig(restarts=4, max_iters=600, tol=1e-11,
-                           seed=int(rng.integers(0, 2**32)))
-        oracle = seesaw_maximize(state, k, cfg, constrain_y=constrain_y)
-        yield abs(closed.value - oracle.value)
+    """Closed-form vs see-saw gaps, in case order. ``cases`` yields each state before its
+    seed is drawn; all the cases then run as one see-saw batch, each row bit-equal to
+    ``seesaw_maximize`` on its own case."""
+    problems = [(state, k, SeesawConfig(restarts=4, max_iters=600, tol=1e-11,
+                                        seed=int(rng.integers(0, 2**32))))
+                for state, k in cases]
+    for (state, k, _), oracle in zip(problems, _seesaw_batch(problems, constrain_y)):
+        yield abs(max_violation_closed_form(state, k).value - oracle.value)
 
 
 def _schmidt_states(rng, samples: int):

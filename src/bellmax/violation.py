@@ -247,7 +247,7 @@ def best_k(state: QuantumState, cfg=None, reports=None) -> ViolationReport:
         # max keeps the first of equal values, i.e. the smallest k
         return max(certified, key=lambda rep: rep.value)
     from .seesaw import _seesaw_batch
-    results = _seesaw_batch(state, [rep.k for rep in reports], cfg)
+    results = _seesaw_batch([(state, rep.k, cfg) for rep in reports])
     return max(map(oracle_report, reports, results), key=lambda rep: rep.value)
 
 

@@ -304,7 +304,7 @@ def test_verify_passes_and_validates(capsys):
 
 @pytest.mark.parametrize("target, check", [
     ("max_violation_closed_form", "product-state-ceiling"),
-    ("seesaw_maximize", "closed-vs-seesaw-even"),
+    ("_seesaw_batch", "closed-vs-seesaw-even"),  # the see-saw entry the check calls
 ])
 def test_verify_nan_deviation_fails(capsys, monkeypatch, target, check):
     from dataclasses import replace
@@ -312,8 +312,14 @@ def test_verify_nan_deviation_fails(capsys, monkeypatch, target, check):
     from bellmax import verify
 
     original = getattr(verify, target)
-    monkeypatch.setattr(verify, target,
-                        lambda *args, **kw: replace(original(*args, **kw), value=math.nan))
+
+    def with_nan(*args, **kw):
+        result = original(*args, **kw)
+        if isinstance(result, list):  # a see-saw batch: one result per problem
+            return [replace(row, value=math.nan) for row in result]
+        return replace(result, value=math.nan)
+
+    monkeypatch.setattr(verify, target, with_nan)
     code, out, _err = run_cli(capsys, "verify", "--samples", "4", "--no-timestamp")
     assert code == 1
     failed = {c["name"]: c["detail"] for c in json.loads(out)["checks"] if not c["passed"]}

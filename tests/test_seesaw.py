@@ -174,11 +174,12 @@ def test_seesaw_pick_survives_one_ulp_in_r(monkeypatch):
 
 def test_seesaw_draws_each_start_when_its_restart_runs(monkeypatch):
     # Starts are drawn a chunk at a time, just before the chunk's ascent, so
-    # a huge restart count draws and allocates at most one chunk up front.
-    draws = []
+    # a huge restart count draws and allocates at most one chunk up front,
+    # for one problem and for a batch of problems with distinct seeds.
+    draws = {}
 
     def counting_unit3(rng):
-        draws.append(1)
+        draws[id(rng)] = draws.get(id(rng), 0) + 1
         return sampling.unit3(rng)
 
     def first_ascent(*args):
@@ -186,9 +187,17 @@ def test_seesaw_draws_each_start_when_its_restart_runs(monkeypatch):
 
     monkeypatch.setattr(seesaw, "unit3", counting_unit3)
     monkeypatch.setattr(seesaw, "_climb", first_ascent)
+    restarts = 100 * seesaw._CHUNK_ROWS
+    for seeds in ((0,), (0, 1, 2)):
+        draws.clear()
+        problems = [(EXAMPLE_STATE, 2, SeesawConfig(restarts=restarts, seed=seed))
+                    for seed in seeds]
+        with pytest.raises(RuntimeError, match="first ascent"):
+            _seesaw_batch(problems)
+        assert len(draws) == len(seeds)
+        assert max(draws.values()) <= 4 * seesaw._CHUNK_ROWS
     with pytest.raises(RuntimeError, match="first ascent"):
-        seesaw_maximize(EXAMPLE_STATE, 2, SeesawConfig(restarts=100 * seesaw._CHUNK_ROWS))
-    assert len(draws) <= 4 * seesaw._CHUNK_ROWS
+        seesaw_maximize(EXAMPLE_STATE, 2, SeesawConfig(restarts=restarts))
 
 
 def test_seesaw_ascent_monotone(monkeypatch):
@@ -214,7 +223,8 @@ def test_seesaw_ascent_monotone(monkeypatch):
         n = int(rng.integers(2, 6))
         history.clear()
         returned.clear()
-        _seesaw_batch(sampling.mixed_density(rng, n), range(1, n + 1), cfg)
+        state = sampling.mixed_density(rng, n)
+        _seesaw_batch([(state, k, cfg) for k in range(1, n + 1)])
         (final, used, converged, _), = returned  # one chunk
         values = np.array(history)
         assert values.shape == (used.max() + 1, 4 * n)
@@ -345,14 +355,69 @@ def test_seesaw_chunks_match_one_batch(monkeypatch):
              (sampling.pure_density(rng, 4), [2], False),
              (sampling.schmidt_state(rng, 3), [3], True))
     for state, ks, constrain_y in cases:
-        whole = _seesaw_batch(state, ks, cfg, constrain_y)
+        problems = [(state, k, cfg) for k in ks]
+        whole = _seesaw_batch(problems, constrain_y)
         monkeypatch.setattr(seesaw, "_CHUNK_ROWS", 5)
         monkeypatch.setattr(seesaw, "_climb", counting_climb)
         chunks.clear()
-        chunked = _seesaw_batch(state, ks, cfg, constrain_y)
+        chunked = _seesaw_batch(problems, constrain_y)
         monkeypatch.undo()
         assert len(chunks) >= 2
         for first, second in zip(whole, chunked, strict=True):
+            _assert_same_result(first, second)
+
+
+def test_heterogeneous_batch_rows_equal_single_problem_calls(monkeypatch):
+    # One batch of pure, mixed and Schmidt states, N 2-7, several k per state,
+    # distinct and shared seeds, in chunks of 5 rows: every row is bit-equal to
+    # seesaw_maximize on its own problem.
+    rng = np.random.default_rng(41)
+    draw = (sampling.pure_density, sampling.mixed_density, sampling.schmidt_state)
+    problems = []
+    for idx in range(12):
+        n = 2 + idx % 6
+        state = draw[idx % 3](rng, n)
+        for k in sorted({1, n, int(rng.integers(1, n + 1))}):
+            seed = idx % 3 if idx % 2 else 100 + len(problems)
+            problems.append((state, k, SeesawConfig(restarts=7, seed=seed)))
+    monkeypatch.setattr(seesaw, "_CHUNK_ROWS", 5)
+    for constrain_y in (False, True):
+        batch = _seesaw_batch(problems, constrain_y)
+        for (state, k, cfg), row in zip(problems, batch, strict=True):
+            assert (row.settings.k, row.restarts_used) == (k, cfg.restarts)
+            _assert_same_result(row, seesaw_maximize(state, k, cfg, constrain_y=constrain_y))
+    with pytest.raises(ValueError, match="differ only in seed"):
+        _seesaw_batch([(EXAMPLE_STATE, 2, SeesawConfig(restarts=4)),
+                       (EXAMPLE_STATE, 2, SeesawConfig(restarts=5))])
+
+
+def test_verify_batches_match_per_problem_calls(monkeypatch):
+    # Each closed-vs-see-saw check of verify runs its cases as one batch; the
+    # records, and every oracle result, equal those of one call per case.
+    from bellmax import verify
+
+    def per_problem(problems, constrain_y=False):
+        return [seesaw_maximize(state, k, cfg, constrain_y=constrain_y)
+                for state, k, cfg in problems]
+
+    def recording(oracle, results):
+        def run(problems, constrain_y=False):
+            results.extend(oracle(problems, constrain_y))
+            return results[len(results) - len(problems):]
+        return run
+
+    batch = verify._seesaw_batch
+    for samples in (2, 8, 25):
+        runs = []
+        for oracle in (batch, per_problem):
+            results = []
+            monkeypatch.setattr(verify, "_seesaw_batch", recording(oracle, results))
+            runs.append((verify.run_all_checks(7, samples), results))
+            monkeypatch.undo()
+        (records, results), (per_records, per_results) = runs
+        assert records == per_records
+        assert len(results) == len(per_results) > 0
+        for first, second in zip(results, per_results):
             _assert_same_result(first, second)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,38 @@ def test_load_density_roundtrip():
     state = load_state(doc)
     assert isinstance(state, DensityMatrix)
     np.testing.assert_allclose(state.rho, rho, atol=1e-15)
+
+
+def test_number_grid_fast_path_matches_entry_loop():
+    # Rows of plain floats are converted as one array; any other grid goes entry
+    # by entry. Both give the loop's bits, and a bad entry the loop's error.
+    from bellmax.states import _number_grid, _require_number
+
+    rng = np.random.default_rng(5)
+    for size in (4, 9, 16):
+        rows = (rng.normal(size=(size, size))
+                * 10.0 ** rng.integers(-300, 300, (size, size))).tolist()
+        rows[0][0], rows[-1][-1] = -0.0, 5e-324
+        loop = np.array([[_require_number(x, "") for x in row] for row in rows])
+        assert _number_grid({"re": rows}, "re", size).tobytes() == loop.tobytes()
+    eye = [[float(i == j) for j in range(4)] for i in range(4)]
+    with_ints = [[int(x) for x in row] for row in eye]
+    assert _number_grid({"re": with_ints}, "re", 4).tobytes() == np.eye(4).tobytes()
+    bad = {
+        (1, 2, math.nan): "re[1][2] must be finite",
+        (3, 0, math.inf): "re[3][0] must be finite",
+        (0, 3, True): "re[0][3] must be a number",
+        (2, 1, None): "re[2][1] must be a number",
+        (1, 1, 10**400): "re[1][1] must be finite",
+    }
+    for (i, j, entry), message in bad.items():
+        rows = [list(row) for row in eye]
+        rows[i][j] = entry
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            _number_grid({"re": rows}, "re", 4)
+    for row in (eye[2][:3], eye[2] + [0.0], tuple(eye[2]), "abcd"):
+        with pytest.raises(SchemaError, match="field 're' row 2 must have 4 entries"):
+            _number_grid({"re": eye[:2] + [row] + eye[3:]}, "re", 4)
 
 
 def test_load_rejects_unknown_fields():
