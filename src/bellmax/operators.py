@@ -11,6 +11,7 @@ return read-only arrays.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,31 +48,36 @@ class GammaSet:
 _SLOTS = np.array([[0, 1, 1, 0, 0], [0, -1j, 1j, 0, 0], [1, 0, 0, -1, 0], [0, 0, 0, 0, 1]])
 
 
-def _entries(dim: int, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries ``O_m[rows[i, e], cols[i, e]] = _SLOTS[m, slots[e]]``
-    of ``O = (gx, gy, gz, pi)`` at ``k = ks[i]``: four per ascending index pair,
-    then, for odd ``dim``, the cut of ``pi``. ``rows`` and ``cols`` are
-    ``(K, L)``. The slots, and so the coefficient table ``C = _SLOTS[:, slots]``
-    that ``make_gamma_set`` fills in and ``violation._moments`` contracts, do
-    not depend on k."""
+@functools.lru_cache(maxsize=16)
+def _layout(dim: int) -> tuple[np.ndarray, ...]:
+    """What ``_entries`` shares across k, read-only: ``arange(dim)``, where entry e's row and
+    column sit in the index order (pair e // 4, slot e % 4; for odd dim the last entry is the
+    cut, slot 4), the coefficients ``C = _SLOTS[:, slots]`` and their products ``C_m C_n``."""
+    e = np.arange(2 * dim - dim % 2)
+    slots = e % 4
+    slots[-1] += 4 * (dim % 2)
+    products = (_SLOTS[:, None] * _SLOTS).reshape(16, -1)
+    return tuple(map(_frozen, (np.arange(dim), e // 2, e // 4 * 2 + e % 2,
+                               _SLOTS.take(slots, axis=1), products.take(slots, axis=1))))
+
+
+def _entries(dim: int, ks) -> tuple[np.ndarray, ...]:
+    """The nonzero entries ``O_m[rows[i, e], cols[i, e]] = C[m, e]`` of ``O = (gx, gy, gz,
+    pi)`` at ``k = ks[i]``: four per ascending index pair, then, for odd ``dim``, the cut of
+    ``pi``. Returns ``rows``, ``cols``, ``(K, L)``, and the k-free ``C``, ``(4, L)``, and
+    ``C_m C_n``, ``(16, L)``, which ``make_gamma_set`` and ``violation._moments`` use."""
     bad = [k for k in ks if not 1 <= k <= dim]
     if bad:
         raise ValueError(f"k must be in 1..{dim}, got {bad[0]}")
-    odd = dim % 2
     # Row i lists the paired indices for ks[i] in ascending order, then the cut.
-    order = np.arange(dim)
-    if odd:
+    order, first, second, c, products = _layout(dim)
+    if dim % 2:
         cut = np.array(ks)[:, None] - 1
         order = order + (order >= cut)
         order[:, -1:] = cut
     else:
         order = order[None].repeat(len(ks), axis=0)
-    # Entry e sits at (order[e // 2], order[e // 4 * 2 + e % 2]): pair e // 4,
-    # slot e % 4. For odd dim the last entry is (cut, cut), slot 4.
-    e = np.arange(2 * dim - odd)
-    slots = e % 4
-    slots[-1] += 4 * odd
-    return order.take(e // 2, axis=1), order.take(e // 4 * 2 + e % 2, axis=1), slots
+    return order.take(first, axis=1), order.take(second, axis=1), c, products
 
 
 def make_gamma_set(dim: int, k: int = 1) -> GammaSet:
@@ -90,9 +96,9 @@ def make_gamma_set(dim: int, k: int = 1) -> GammaSet:
             f"N={dim} gives {dim * dim}x{dim * dim} Bell operators, "
             f"cap is {linalg.MAX_TENSOR_DIM}"
         )
-    rows, cols, slots = _entries(dim, [k])  # checks k
+    rows, cols, c, _ = _entries(dim, [k])  # checks k
     ops = np.zeros((4, dim, dim), dtype=complex)
-    ops[:, rows[0], cols[0]] = _SLOTS[:, slots]
+    ops[:, rows[0], cols[0]] = c
     gx, gy, gz, pi = ops
     return GammaSet(dim=dim, k=k, gx=_frozen(gx), gy=_frozen(gy),
                     gz=_frozen(gz), pi=_frozen(pi))

@@ -110,19 +110,13 @@ def _climb(cols, cols_t, g2, h2, p2, starts: np.ndarray, cfg: SeesawConfig):
 
 def _seesaw_batch(problems, constrain_y: bool = False) -> list[OracleResult]:
     """``seesaw_maximize`` for every ``(state, k, cfg)`` in ``problems``, whose configs may
-    differ only in ``seed``: one ``_spectra`` call per distinct state, then one ascent of
+    differ only in ``seed``: one ``_spectra`` call for every problem, then one ascent of
     every (problem, restart) row, in restart chunks of at most ``_CHUNK_ROWS`` rows."""
     cfgs = [cfg if cfg is not None else SeesawConfig() for _, _, cfg in problems]
     cfg = cfgs[0]
     if len({(c.restarts, c.max_iters, c.tol) for c in cfgs}) > 1:
         raise ValueError("the configs of one see-saw batch may differ only in seed")
-    corrs, by_state = [None] * len(problems), {}
-    for idx, (state, _, _) in enumerate(problems):
-        by_state.setdefault(id(state), (state, []))[1].append(idx)
-    for state, idxs in by_state.values():
-        ks = [problems[idx][1] for idx in idxs]
-        for idx, k, *row in zip(idxs, ks, *_spectra(state, ks)):
-            corrs[idx] = _correlation_row(k, *row)
+    corrs = [_correlation_row(k, *row) for (_, k, _), *row in zip(problems, *_spectra(problems))]
     warm = np.array([[s.a1, s.a2, s.b1, s.b2] for s in map(optimal_settings, corrs)])
     r, g, h, p = (np.array([getattr(c, name) for c in corrs]) for name in "rghp")
     if constrain_y:  # after the warm start; tau1, tau2, vectors go unread

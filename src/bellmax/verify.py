@@ -34,9 +34,10 @@ from .states import (
     partial_trace,
     schmidt_to_density,
 )
-from .violation import correlation_data, max_violation_closed_form
+from .violation import _closed_forms, correlation_data
 # Unused here; kept because the traced bench wraps them (ROADMAP direction 1).
 from .linalg import hermitian_eig, tensor  # noqa: F401
+from .violation import max_violation_closed_form  # noqa: F401
 
 _TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -89,13 +90,13 @@ def _state_count(samples: int) -> int:
 
 def _closed_vs_seesaw(rng, cases, constrain_y: bool = False):
     """Closed-form vs see-saw gaps, in case order. ``cases`` yields each state before its
-    seed is drawn; all the cases then run as one see-saw batch, each row bit-equal to
-    ``seesaw_maximize`` on its own case."""
+    seed is drawn; all the cases then run as one closed-form batch and one see-saw batch,
+    each row bit-equal to the one-problem call on its own case."""
     problems = [(state, k, SeesawConfig(restarts=4, max_iters=600, tol=1e-11,
                                         seed=int(rng.integers(0, 2**32))))
                 for state, k in cases]
-    for (state, k, _), oracle in zip(problems, _seesaw_batch(problems, constrain_y)):
-        yield abs(max_violation_closed_form(state, k).value - oracle.value)
+    for rep, oracle in zip(_closed_forms(problems), _seesaw_batch(problems, constrain_y)):
+        yield abs(rep.value - oracle.value)
 
 
 def _schmidt_states(rng, samples: int):
@@ -116,20 +117,17 @@ def check_closed_vs_seesaw_schmidt(rng, samples: int):
 
 def check_product_ceiling(rng, samples: int):
     combos = [(n, k) for n in range(2, 7) for k in range(1, n + 1)]
-    for idx in range(samples):
-        n, k = combos[idx % len(combos)]
-        rep = max_violation_closed_form(sampling.product_density(rng, n), k)
+    cases = (combos[idx % len(combos)] for idx in range(samples))
+    for rep in _closed_forms([(sampling.product_density(rng, n), k) for n, k in cases]):
         yield rep.value - 2.0
 
 
 def check_isotropic_monotone(rng, samples: int):
-    for n in (3, 4):
-        values = [
-            max_violation_closed_form(IsotropicState(n, x), 1).value
-            for x in np.linspace(0.0, 1.0, 101)
-        ]
+    grid = np.linspace(0.0, 1.0, 101)
+    reports = _closed_forms([(IsotropicState(n, x), 1) for n in (3, 4) for x in grid])
+    for values in (reports[:len(grid)], reports[len(grid):]):
         for earlier, later in itertools.pairwise(values):
-            yield later - earlier
+            yield later.value - earlier.value
 
 
 def check_gisin_constrained(rng, samples: int):

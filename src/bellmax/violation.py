@@ -11,20 +11,21 @@ eigenvalues of ``R^T R``. For even dimension the projector is the zero
 matrix, so the cross vectors are exactly zero, ``k`` is inert and the
 closed form holds for every state; for odd dimension it is certified
 when the cross vectors vanish (Schmidt states always satisfy this).
-The moments of every k are one batched contraction ``C G C^T`` (``_moments``),
-O(N) per k for Schmidt and isotropic states; a single-k call takes row 0
-of the same path that ``scan_k`` runs once for every k.
+The moments of many (state, k) problems are one batched contraction ``C G C^T``
+(``_moments``), O(N) per k for Schmidt and isotropic states. A single-k call,
+``scan_k`` and the see-saw's warm start are all cases of that one path.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .linalg import sym3_eig
-from .operators import _SLOTS, BellSettings, _entries
+from .operators import BellSettings, _entries
 from .states import DensityMatrix, DomainError, IsotropicState, QuantumState, SchmidtState
 # Unused here; kept because the traced bench wraps them (ROADMAP direction 1).
 from .operators import make_gamma_set  # noqa: F401
@@ -46,8 +47,6 @@ MAX_PAIR_DIM = 2048
 #: Scratch bytes per chunk of ks in ``_moments``, instead of 67 MB tables at MAX_PAIR_DIM.
 _CHUNK_BYTES = 1 << 23
 
-#: ``_PRODUCTS[4 m + n, s] = _SLOTS[m, s] _SLOTS[n, s]``: the entry products ``C_m C_n``.
-_PRODUCTS = (_SLOTS[:, None] * _SLOTS).reshape(16, -1)
 
 @dataclass(frozen=True)
 class CorrelationData:
@@ -84,57 +83,76 @@ class ViolationReport:
 
 
 def _row_bytes(state: QuantumState) -> int:
-    """Scratch bytes per k: a density's gather ``G``, else index tables and weights."""
+    """Scratch bytes per problem: a density's gather ``G``, else index tables and weights."""
     length = 2 * state.dim - state.dim % 2
     return 16 * length * (length if isinstance(state, DensityMatrix) else 4)
 
 
-def _moments(state: QuantumState, ks) -> np.ndarray:
-    """Real moments ``T[i, m, n] = Tr[rho O_m (x) O_n]`` of ``O = (gx, gy, gz, pi)``
-    at ``k = ks[i]``: blocks ``R = T[i, :3, :3]``, ``g = T[i, :3, 3]``, ``h =
-    T[i, 3, :3]``, ``p = T[i, 3, 3]``. As ``O_m[row_e, col_e] = C[m, e]``, ``T =
-    C G C^T`` with ``G[e, f] = rho4[col_e, col_f, row_e, row_f]``, ``rho4[i, k,
-    j, l] = <ik|rho|jl>``: O(N^2) gathered entries per k for a density, O(N)
-    for Schmidt and isotropic states. Each k gets a BLAS call of one shape, so
-    its row has the same bits in any batch and chunk. ``N > MAX_PAIR_DIM`` raises first."""
-    n = state.dim
-    if n > MAX_PAIR_DIM:
-        raise DomainError(f"N={n} is beyond the pair-block budget, cap is N={MAX_PAIR_DIM}")
-    if not isinstance(state, (DensityMatrix, SchmidtState, IsotropicState)):
-        raise TypeError(f"not a quantum state: {type(state).__name__}")
-    step = max(1, _CHUNK_BYTES // _row_bytes(state))
-    chunks = [_chunk_moments(state, ks[i:i + step]) for i in range(0, len(ks), step)]
+def _moments(problems) -> np.ndarray:
+    """Real moments ``T[i, m, n] = Tr[rho O_m (x) O_n]`` of ``O = (gx, gy, gz, pi)`` for
+    ``(rho, k, ...) = problems[i]``: ``R = T[i, :3, :3]``, ``g = T[i, :3, 3]``, ``h = T[i,
+    3, :3]``, ``p = T[i, 3, 3]``. As ``O_m[row_e, col_e] = C[m, e]``, ``T = C G C^T`` with
+    ``G[e, f] = <col_e col_f|rho|row_e row_f>``: O(N^2) gathered entries per problem for a
+    density, O(N) for Schmidt and isotropic states. Problems of one family and N are stacked,
+    each state's together, in chunks of ``_CHUNK_BYTES``; each row gets a BLAS call of one
+    shape, so it has the same bits in any batch and chunk. ``N > MAX_PAIR_DIM`` raises first."""
+    states, ks, *_ = zip(*problems)
+    distinct = dict(zip(map(id, states), states))
+    for state in distinct.values():
+        if (n := state.dim) > MAX_PAIR_DIM:
+            raise DomainError(f"N={n} is beyond the pair-block budget, cap is N={MAX_PAIR_DIM}")
+        if not isinstance(state, (DensityMatrix, SchmidtState, IsotropicState)):
+            raise TypeError(f"not a quantum state: {type(state).__name__}")
+    order, bounds = range(len(ks)), [0, len(ks)]
+    if len(distinct) > 1:  # by family and N, then by state: each state's problems are one run
+        rank = {sid: (type(s).__name__, s.dim, r) for r, (sid, s) in enumerate(distinct.items())}
+        keys = [rank[id(state)] for state in states]
+        order = sorted(order, key=keys.__getitem__)
+        states, ks, keys = ([seq[i] for i in order] for seq in (states, ks, keys))
+        bounds[1:1] = [i for i in range(1, len(keys)) if keys[i][:2] != keys[i - 1][:2]]
+    chunks = [_chunk_moments(states[i:min(i + step, end)], ks[i:min(i + step, end)])
+              for start, end in itertools.pairwise(bounds)
+              for step in [max(1, _CHUNK_BYTES // _row_bytes(states[start]))]
+              for i in range(start, end, step)]
     t = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
     # Traces of Hermitian products are real; tolerate rounding only.
     imag = float(np.abs(t.imag).max())
     if imag > 1e-9:
         raise ArithmeticError(f"expected real traces, got imaginary parts up to {imag:.3e}")
-    return t.real
+    return (t if len(distinct) == 1 else t[np.argsort(order)]).real
 
 
-def _chunk_moments(state: QuantumState, ks) -> np.ndarray:
-    n = state.dim
-    rows, cols, slots = _entries(n, ks)  # checks k
-    # Tr[rho (A x B)] = sum_{ikjl} rho4[i, k, j, l] A[j, i] B[l, k]
+def _chunk_moments(states, ks) -> np.ndarray:
+    """``_moments`` of one family and N, each state's problems together."""
+    state, n = states[0], states[0].dim
+    rows, cols, c, products = _entries(n, ks)  # checks k
+    cuts = [] if state is states[-1] else [
+        i for i in range(1, len(states)) if states[i] is not states[i - 1]]
+    runs = [(states[a], slice(a, b)) for a, b in itertools.pairwise([0, *cuts, len(states)])]
+    # Tr[rho (A x B)] = sum rho4[i, k, j, l] A[j, i] B[l, k]. Schmidt: G = diag(c_row c_col),
+    # weights on the products C_m C_n. Isotropic: (1 - x) (Schmidt state, c_i = N^-1/2) + x/N^2
+    # d_ij d_kl, whose second term pairs the operator traces. n ** -0.5 squared keeps goldens.
     if isinstance(state, DensityMatrix):
-        c, rho4 = _SLOTS.take(slots, axis=1), state.rho.reshape(n, n, n, n)
-        return c @ rho4[cols[:, :, None], cols[:, None], rows[:, :, None], rows[:, None]] @ c.T
-    # Schmidt: G = diag(c_row c_col), weights on the products C_m C_n. Isotropic:
-    # (1 - x) (Schmidt state, c_i = N^-1/2) + x/N^2 d_ij d_kl, whose second term
-    # pairs the operator traces. Weights n ** -0.5 squared, not 1/N, keep goldens.
-    iso = isinstance(state, IsotropicState)
-    coeffs = np.full(n, n ** -0.5) if iso else np.asarray(state.coeffs)
-    weights = coeffs.take(rows) * coeffs.take(cols)
-    t = (weights[:, None] @ _PRODUCTS.take(slots, axis=1).T).reshape(-1, 4, 4)
-    if iso:
-        trace = _SLOTS.take(slots, axis=1) @ (rows[0] == cols[0])  # the same for every k
-        t = (1.0 - state.x) * t + state.x / (n * n) * np.outer(trace, trace)
+        blocks = [s.rho.reshape(n, n, n, n)[cols[r, :, None], cols[r, None], rows[r, :, None],
+                                            rows[r, None]] for s, r in runs]
+    elif isinstance(state, SchmidtState):
+        blocks = [(a := np.asarray(s.coeffs)).take(rows[r]) * a.take(cols[r]) for s, r in runs]
+    else:
+        blocks = [np.full(rows.shape, n ** -0.5 * n ** -0.5)]
+    g = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+    if isinstance(state, DensityMatrix):
+        return c @ g @ c.T
+    t = (g[:, None] @ products.T).reshape(-1, 4, 4)
+    if isinstance(state, IsotropicState):
+        x = np.array([s.x for s in states])[:, None, None]
+        trace = c @ (rows[0] == cols[0])  # the same for every k
+        t = (1.0 - x) * t + x / (n * n) * np.outer(trace, trace)
     return t
 
 
-def _spectra(state: QuantumState, ks):
-    """``T`` for every k in ``ks``, and the descending eigenpairs of each ``R^T R``."""
-    t = _moments(state, ks)
+def _spectra(problems):
+    """``T`` of every ``(state, k, ...)`` problem and the descending eigenpairs of its ``R^T R``."""
+    t = _moments(problems)
     r = t[:, :3, :3]
     return (t, *sym3_eig(r.swapaxes(1, 2) @ r))
 
@@ -149,8 +167,8 @@ def _correlation_row(k: int, t, values, vectors) -> CorrelationData:
 
 
 def correlation_data(state: QuantumState, k: int) -> CorrelationData:
-    """Exact ``R``, ``g``, ``h``, ``p`` and ``R^T R`` eigenpairs for (state, k), from row 0."""
-    return _correlation_row(k, *(a[0] for a in _spectra(state, [k])))
+    """Exact ``R``, ``g``, ``h``, ``p`` and ``R^T R`` eigenpairs for (state, k)."""
+    return _correlation_row(k, *(a[0] for a in _spectra([(state, k)])))
 
 
 def _violates(value: float) -> bool:
@@ -192,35 +210,35 @@ def optimal_settings(corr: CorrelationData) -> BellSettings:
     return BellSettings(a1, a2, b1, b2, k=corr.k)
 
 
-def _closed_forms(state: QuantumState, ks) -> list[ViolationReport]:
-    """Closed-form reports ``2 sqrt(tau1 + tau2) + 2p`` at every k in ``ks``.
+def _closed_forms(problems) -> list[ViolationReport]:
+    """Closed-form reports ``2 sqrt(tau1 + tau2) + 2p`` for every ``(state, k, ...)`` problem.
     ``formula_valid``: the projector cross terms vanish (a NaN does not), exactly
     so for even N (zero projector) and Schmidt states; else prefer an oracle."""
-    t, eigenvalues, _ = _spectra(state, ks)
+    t, eigenvalues, _ = _spectra(problems)
     tau = np.maximum(eigenvalues[:, :2], 0.0)
     values = 2.0 * np.sqrt(tau[:, 0] + tau[:, 1]) + 2.0 * t[:, 3, 3]
-    cross = np.maximum(np.abs(t[:, :3, 3]).max(axis=1), np.abs(t[:, 3, :3]).max(axis=1))
-    return [ViolationReport(value=value, tau1=tau1, tau2=tau2, pi_term=2.0 * p, k=k,
+    cross = np.maximum(np.abs(t[:, :3, 3]), np.abs(t[:, 3, :3])).max(axis=1)
+    return [ViolationReport(value=value, tau1=tau1, tau2=tau2, pi_term=2.0 * p, k=problem[1],
                             formula_valid=cross_k <= CROSS_TERM_ATOL,
                             violated=_violates(value), method="closed_form")
-            for k, value, (tau1, tau2), p, cross_k
-            in zip(ks, values.tolist(), tau.tolist(), t[:, 3, 3].tolist(), cross.tolist())]
+            for problem, value, (tau1, tau2), p, cross_k
+            in zip(problems, values.tolist(), tau.tolist(), t[:, 3, 3].tolist(), cross.tolist())]
 
 
 def max_violation_closed_form(state: QuantumState, k: int) -> ViolationReport:
     """Closed-form maximal value at index ``k`` (see ``_closed_forms``)."""
-    return _closed_forms(state, [k])[0]
+    return _closed_forms([(state, k)])[0]
 
 
 def scan_k(state: QuantumState) -> list[ViolationReport]:
     """Closed-form report for every measurement index ``k`` in 1..N, from one
-    ``_moments`` batch and one stacked ``sym3_eig``: O(N) per k for Schmidt
-    and isotropic states, and each row bit-equal to ``max_violation_closed_form``.
-    For even dimension ``k`` is inert: the ``k = 1`` report is copied."""
+    ``_closed_forms`` batch: O(N) per k for Schmidt and isotropic states, and
+    each row bit-equal to ``max_violation_closed_form``. For even dimension
+    ``k`` is inert: the ``k = 1`` report is copied."""
     ks = range(1, state.dim + 1)
-    if state.dim % 2:
-        return _closed_forms(state, ks)
-    first = max_violation_closed_form(state, 1)
+    if state.dim % 2 and state.dim <= MAX_PAIR_DIM:
+        return _closed_forms(list(zip(itertools.repeat(state), ks)))
+    first = max_violation_closed_form(state, 1)  # past MAX_PAIR_DIM, raises before N problems
     return [replace(first, k=k) for k in ks]
 
 
@@ -280,7 +298,6 @@ def noise_threshold(dim: int) -> ThresholdResult:
     k = 1
     # Certified at every (N, k): the cut-row sums of an isotropic state are
     # multiples of the identity, so the traceless Paulis give g = h = 0.
-    zero = max_violation_closed_form(IsotropicState(dim, 0.0), k)  # rejects dim < 2
-    one = max_violation_closed_form(IsotropicState(dim, 1.0), k)
+    zero, one = _closed_forms([(IsotropicState(dim, x), k) for x in (0.0, 1.0)])  # rejects dim < 2
     return ThresholdResult((zero.value - LHV_BOUND) / (zero.value - one.value),
                            zero.value, k, one.value)

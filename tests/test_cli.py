@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -302,9 +303,35 @@ def test_verify_passes_and_validates(capsys):
     ]
 
 
+def test_verify_batches_its_closed_forms(monkeypatch):
+    # isotropic-monotone is one _spectra call (it was one per state, 202),
+    # and no check makes more than one closed-form call.
+    from bellmax import verify
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(violation, "_spectra", counted("spectra", violation._spectra))
+    for module in (verify, violation):
+        monkeypatch.setattr(module, "_closed_forms", counted("closed", module._closed_forms))
+    for samples in (2, 8):
+        children = np.random.SeedSequence(samples).spawn(len(verify._CHECKS))
+        for entry, child in zip(verify._CHECKS, children):
+            calls.clear()
+            assert verify._run(*entry, np.random.default_rng(child), samples).passed
+            assert calls["closed"] <= 1, entry[0]
+            if entry[0] == "isotropic-monotone":
+                assert calls == {"closed": 1, "spectra": 1}
+
+
 @pytest.mark.parametrize("target, check", [
-    ("max_violation_closed_form", "product-state-ceiling"),
-    ("_seesaw_batch", "closed-vs-seesaw-even"),  # the see-saw entry the check calls
+    ("_closed_forms", "product-state-ceiling"),  # the closed-form batch the check calls
+    ("_seesaw_batch", "closed-vs-seesaw-even"),  # the see-saw batch the check calls
 ])
 def test_verify_nan_deviation_fails(capsys, monkeypatch, target, check):
     from dataclasses import replace
@@ -313,11 +340,8 @@ def test_verify_nan_deviation_fails(capsys, monkeypatch, target, check):
 
     original = getattr(verify, target)
 
-    def with_nan(*args, **kw):
-        result = original(*args, **kw)
-        if isinstance(result, list):  # a see-saw batch: one result per problem
-            return [replace(row, value=math.nan) for row in result]
-        return replace(result, value=math.nan)
+    def with_nan(*args, **kw):  # a batch: one result per problem
+        return [replace(row, value=math.nan) for row in original(*args, **kw)]
 
     monkeypatch.setattr(verify, target, with_nan)
     code, out, _err = run_cli(capsys, "verify", "--samples", "4", "--no-timestamp")

@@ -151,8 +151,8 @@ def test_seesaw_pick_survives_one_ulp_in_r(monkeypatch):
     # with values that differ only in the last bits.
     spectra = seesaw._spectra
 
-    def one_ulp_larger(state, ks):
-        t, values, vectors = spectra(state, ks)
+    def one_ulp_larger(problems):
+        t, values, vectors = spectra(problems)
         t = t.copy()
         t[:, :3, :3] *= 1.0 + 2.0 ** -52
         return t, values, vectors

@@ -188,11 +188,12 @@ def test_every_k_batch_matches_single_k_and_references(n, family, seed):
     reports = scan_k(state)
     for k in ks:
         assert reports[k - 1] == max_violation_closed_form(state, k)
-    batch = violation._moments(state, ks)
+    problems = [(state, k) for k in ks]
+    batch = violation._moments(problems)
     with pytest.MonkeyPatch.context() as patch:
         for rows in (1, 2, 3):
             patch.setattr(violation, "_CHUNK_BYTES", rows * violation._row_bytes(state))
-            assert np.array_equal(violation._moments(state, ks), batch)
+            assert np.array_equal(violation._moments(problems), batch)
             assert scan_k(state) == reports
     rho = as_density(state)
     for k, t in zip(ks, batch):
@@ -202,6 +203,31 @@ def test_every_k_batch_matches_single_k_and_references(n, family, seed):
             np.testing.assert_allclose(t[:3, 3], g_ref, rtol=0, atol=1e-12)
             np.testing.assert_allclose(t[3, :3], h_ref, rtol=0, atol=1e-12)
             assert abs(t[3, 3] - p_ref) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(2, 9), st.sampled_from(sorted(FAMILIES)),
+                          st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1), st.sampled_from((None, 1, 2, 3)))
+def test_problem_batch_rows_equal_one_problem_calls(specs, seed, chunk_rows):
+    # Mixed families and N, each state at three ks, some (state, k) twice, in
+    # shuffled order, in chunks of 1-3 rows: every row of one batch has the
+    # bits of its one-problem call.
+    rng = np.random.default_rng(seed)
+    states = [FAMILIES[family](np.random.default_rng(s), n) for n, family, s in specs]
+    problems = [(state, int(k)) for state in states for k in rng.integers(1, state.dim + 1, 3)]
+    problems += [problems[i] for i in rng.integers(0, len(problems), 2)]
+    problems = [problems[i] for i in rng.permutation(len(problems))]
+    singles = [violation._spectra([problem]) for problem in problems]
+    reports = [max_violation_closed_form(state, k) for state, k in problems]
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_rows:
+            smallest = min(violation._row_bytes(state) for state in states)
+            patch.setattr(violation, "_CHUNK_BYTES", chunk_rows * smallest)
+        batch = violation._spectra(problems)
+        assert violation._closed_forms(problems) == reports
+    for single, stacked in zip(zip(*singles), batch):
+        assert np.array_equal(np.concatenate(single), stacked)
 
 
 def test_chunks_hold_the_budget(monkeypatch):
@@ -216,24 +242,33 @@ def test_chunks_hold_the_budget(monkeypatch):
     monkeypatch.setattr(violation, "_entries", recording)
     state = sampling.mixed_density(np.random.default_rng(3), 7)
     monkeypatch.setattr(violation, "_CHUNK_BYTES", 3 * violation._row_bytes(state))
-    violation._moments(state, range(1, 8))
+    violation._moments([(state, k) for k in range(1, 8)])
     assert sizes == [3, 3, 1]
 
 
 def test_nan_cross_term_does_not_certify(monkeypatch):
     # max(0.0, nan) is 0.0, so a running max with max() would certify a NaN
-    # cross term; the report rule keeps it, for one k and for the batch.
+    # cross term; the report rule keeps it, for one k, for every k of a scan,
+    # and for a batch of several states, where it marks only its own rows.
     moments = violation._moments
 
-    def nan_in_h(state, ks):
-        t = moments(state, ks)
-        t[:, 3, 0] = np.nan
-        return t
+    def nan_in_h(rows):
+        def patched(problems):
+            t = moments(problems)
+            t[rows, 3, 0] = np.nan
+            return t
+        return patched
 
-    monkeypatch.setattr(violation, "_moments", nan_in_h)
+    monkeypatch.setattr(violation, "_moments", nan_in_h(slice(None)))
     even = SchmidtState(2, (HALF, HALF))  # g = 0 exactly
     assert max_violation_closed_form(even, 1).formula_valid is False
     assert not any(rep.formula_valid for rep in scan_k(EXAMPLE_STATE))
+    density = sampling.pure_density(np.random.default_rng(8), 4)  # even: g = h = 0
+    problems = [(even, 1), (EXAMPLE_STATE, 2), (IsotropicState(3, 0.2), 1),
+                (EXAMPLE_STATE, 3), (density, 2), (density, 1)]
+    monkeypatch.setattr(violation, "_moments", nan_in_h([1, 4]))
+    reports = violation._closed_forms(problems)
+    assert [rep.formula_valid for rep in reports] == [True, False, True, True, False, True]
 
 
 def test_scan_at_pair_budget_stays_in_chunk_budget():
@@ -446,20 +481,20 @@ def test_threshold_n3_derived():
 
 
 def test_threshold_makes_two_closed_form_calls(monkeypatch):
-    # One closed form at each end of the line, for odd N as for even N:
-    # no k is scanned.
+    # One closed form at each end of the line, both in one batch, for odd N
+    # as for even N: no k is scanned.
     calls = []
-    closed_form = violation.max_violation_closed_form
+    closed_forms = violation._closed_forms
 
-    def counting(state, k):
-        calls.append(k)
-        return closed_form(state, k)
+    def counting(problems):
+        calls.append([(state.x, k) for state, k in problems])
+        return closed_forms(problems)
 
-    monkeypatch.setattr(violation, "max_violation_closed_form", counting)
+    monkeypatch.setattr(violation, "_closed_forms", counting)
     for n in range(2, 13):
         calls.clear()
         noise_threshold(n)
-        assert calls == [1, 1]
+        assert calls == [[(0.0, 1), (1.0, 1)]]
 
 
 def test_threshold_monotone_grid():
