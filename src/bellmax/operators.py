@@ -66,9 +66,9 @@ def _entries(dim: int, ks) -> tuple[np.ndarray, ...]:
     pi)`` at ``k = ks[i]``: four per ascending index pair, then, for odd ``dim``, the cut of
     ``pi``. Returns ``rows``, ``cols``, ``(K, L)``, and the k-free ``C``, ``(4, L)``, and
     ``C_m C_n``, ``(16, L)``, which ``make_gamma_set`` and ``violation._moments`` use."""
-    bad = [k for k in ks if not 1 <= k <= dim]
-    if bad:
-        raise ValueError(f"k must be in 1..{dim}, got {bad[0]}")
+    if not 1 <= min(ks) <= max(ks) <= dim:
+        bad = next(k for k in ks if not 1 <= k <= dim)
+        raise ValueError(f"k must be in 1..{dim}, got {bad}")
     # Row i lists the paired indices for ks[i] in ascending order, then the cut.
     order, first, second, c, products = _layout(dim)
     if dim % 2:

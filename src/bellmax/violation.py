@@ -126,9 +126,9 @@ def _chunk_moments(states, ks) -> np.ndarray:
     """``_moments`` of one family and N, each state's problems together."""
     state, n = states[0], states[0].dim
     rows, cols, c, products = _entries(n, ks)  # checks k
-    cuts = [] if state is states[-1] else [
-        i for i in range(1, len(states)) if states[i] is not states[i - 1]]
-    runs = [(states[a], slice(a, b)) for a, b in itertools.pairwise([0, *cuts, len(states)])]
+    runs = [(state, slice(None))] if state is states[-1] else [  # one per state
+        (states[a], slice(a, b)) for a, b in itertools.pairwise(
+            [0, *(i for i in range(1, len(ks)) if states[i] is not states[i - 1]), len(ks)])]
     # Tr[rho (A x B)] = sum rho4[i, k, j, l] A[j, i] B[l, k]. Schmidt: G = diag(c_row c_col),
     # weights on the products C_m C_n. Isotropic: (1 - x) (Schmidt state, c_i = N^-1/2) + x/N^2
     # d_ij d_kl, whose second term pairs the operator traces. n ** -0.5 squared keeps goldens.
@@ -171,9 +171,9 @@ def correlation_data(state: QuantumState, k: int) -> CorrelationData:
     return _correlation_row(k, *(a[0] for a in _spectra([(state, k)])))
 
 
-def _violates(value: float) -> bool:
-    """Whether ``value`` clears the classical bound by more than rounding."""
-    return bool(value - LHV_BOUND > VIOLATION_EPS)
+def _violates(value):
+    """Whether ``value`` clears the classical bound by more than rounding, elementwise."""
+    return value - LHV_BOUND > VIOLATION_EPS
 
 
 #: Directions of a1, a2, b1, b2 where the vector to normalise vanishes.
@@ -219,10 +219,9 @@ def _closed_forms(problems) -> list[ViolationReport]:
     values = 2.0 * np.sqrt(tau[:, 0] + tau[:, 1]) + 2.0 * t[:, 3, 3]
     cross = np.maximum(np.abs(t[:, :3, 3]), np.abs(t[:, 3, :3])).max(axis=1)
     return [ViolationReport(value=value, tau1=tau1, tau2=tau2, pi_term=2.0 * p, k=problem[1],
-                            formula_valid=cross_k <= CROSS_TERM_ATOL,
-                            violated=_violates(value), method="closed_form")
-            for problem, value, (tau1, tau2), p, cross_k
-            in zip(problems, values.tolist(), tau.tolist(), t[:, 3, 3].tolist(), cross.tolist())]
+                            formula_valid=x <= CROSS_TERM_ATOL, violated=v, method="closed_form")
+            for problem, value, (tau1, tau2), p, x, v in zip(problems, values.tolist(),
+                tau.tolist(), t[:, 3, 3].tolist(), cross.tolist(), _violates(values).tolist())]
 
 
 def max_violation_closed_form(state: QuantumState, k: int) -> ViolationReport:
