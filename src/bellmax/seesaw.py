@@ -10,7 +10,7 @@ remaining restarts probe for anything the closed form might have missed.
 A problem is one (state, k, config), and every (problem, restart) pair
 is one row of a single array ascent (``_climb``). A call runs one
 problem, ``violation.best_k`` runs every k of a state in one batch, and
-each closed-vs-see-saw check of ``verify`` runs all of its cases in one.
+each closed-vs-see-saw check of ``verify`` runs one per slice of its cases.
 """
 
 from __future__ import annotations
@@ -116,12 +116,13 @@ def _seesaw_batch(problems, constrain_y: bool = False) -> list[OracleResult]:
     cfg = cfgs[0]
     if len({(c.restarts, c.max_iters, c.tol) for c in cfgs}) > 1:
         raise ValueError("the configs of one see-saw batch may differ only in seed")
-    corrs = [_correlation_row(k, *row) for (_, k, _), *row in zip(problems, *_spectra(problems))]
+    t, *spectra = _spectra(problems)
+    corrs = [_correlation_row(k, *row) for (_, k, _), *row in zip(problems, t, *spectra)]
     warm = np.array([[s.a1, s.a2, s.b1, s.b2] for s in map(optimal_settings, corrs)])
-    r, g, h, p = (np.array([getattr(c, name) for c in corrs]) for name in "rghp")
-    if constrain_y:  # after the warm start; tau1, tau2, vectors go unread
+    r, g, h = (np.array(block) for block in (t[:, :3, :3], t[:, :3, 3], t[:, 3, :3]))
+    if constrain_y:  # after the warm start
         r[:, 1, :] = r[:, :, 1] = g[:, 1] = h[:, 1] = 0.0
-    stacks = r.T[:, :, None], r.T.swapaxes(0, 1)[:, :, None], 2.0 * g.T, 2.0 * h.T, 2.0 * p
+    stacks = r.T[:, :, None], r.T.swapaxes(0, 1)[:, :, None], 2.0 * g.T, 2.0 * h.T, 2.0 * t[:, 3, 3]
     seeds = list(dict.fromkeys(c.seed for c in cfgs))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     which = [seeds.index(c.seed) for c in cfgs]

@@ -2,7 +2,7 @@
 
 Each check re-derives one of the package invariants on seeded random
 inputs. A bounded check yields one deviation per comparison, and one
-runner judges them all: it keeps the worst with ``np.maximum``, which
+runner judges them all: it keeps the worst with ``np.max``, which
 unlike ``max`` keeps a NaN, so a NaN deviation fails its check. The
 suites are deterministic: the same seed and sample count always produce
 identical records, which the golden tests rely on.
@@ -10,7 +10,6 @@ identical records, which the golden tests rely on.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,6 +39,8 @@ from .linalg import hermitian_eig, tensor  # noqa: F401
 from .violation import max_violation_closed_form  # noqa: F401
 
 _TSIRELSON = 2.0 * math.sqrt(2.0)
+
+_SLICE = 256  # problems per batch of a check, each drawn lazily: memory is flat in samples
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,15 @@ def _state_count(samples: int) -> int:
 
 def _closed_vs_seesaw(rng, cases, constrain_y: bool = False):
     """Closed-form vs see-saw gaps, in case order. ``cases`` yields each state before its
-    seed is drawn; all the cases then run as one closed-form batch and one see-saw batch,
-    each row bit-equal to the one-problem call on its own case."""
-    problems = [(state, k, SeesawConfig(restarts=4, max_iters=600, tol=1e-11,
+    seed is drawn; each ``_SLICE`` of cases runs as one closed-form batch and one see-saw
+    batch, each row bit-equal to the one-problem call on its own case."""
+    problems = ((state, k, SeesawConfig(restarts=4, max_iters=600, tol=1e-11,
                                         seed=int(rng.integers(0, 2**32))))
-                for state, k in cases]
-    for rep, oracle in zip(_closed_forms(problems), _seesaw_batch(problems, constrain_y)):
-        yield abs(rep.value - oracle.value)
+                for state, k in cases)
+    while batch := list(itertools.islice(problems, _SLICE)):
+        for rep, oracle in zip(_closed_forms(batch), _seesaw_batch(batch, constrain_y)):
+            yield abs(rep.value - oracle.value)
+        del batch  # before the next slice is drawn
 
 
 def _schmidt_states(rng, samples: int):
@@ -118,8 +121,11 @@ def check_closed_vs_seesaw_schmidt(rng, samples: int):
 def check_product_ceiling(rng, samples: int):
     combos = [(n, k) for n in range(2, 7) for k in range(1, n + 1)]
     cases = (combos[idx % len(combos)] for idx in range(samples))
-    for rep in _closed_forms([(sampling.product_density(rng, n), k) for n, k in cases]):
-        yield rep.value - 2.0
+    problems = ((sampling.product_density(rng, n), k) for n, k in cases)
+    while batch := list(itertools.islice(problems, _SLICE)):
+        for rep in _closed_forms(batch):
+            yield rep.value - 2.0
+        del batch  # before the next slice is drawn
 
 
 def check_isotropic_monotone(rng, samples: int):
@@ -204,7 +210,7 @@ _CHECKS = (
 def _run(name: str, check, bound, suffix: str, rng, samples: int) -> CheckResult:
     if bound is None:
         return check(rng, samples)
-    worst = functools.reduce(np.maximum, check(rng, samples), 0.0)
+    worst = np.max(np.fromiter(check(rng, samples), float), initial=0.0)
     detail = f"worst deviation {worst:.3e} (bound {bound:.1e})"
     if suffix:
         detail += "; " + suffix.format(count=_state_count(samples))

@@ -93,55 +93,48 @@ def _moments(problems) -> np.ndarray:
     ``(rho, k, ...) = problems[i]``: ``R = T[i, :3, :3]``, ``g = T[i, :3, 3]``, ``h = T[i,
     3, :3]``, ``p = T[i, 3, 3]``. As ``O_m[row_e, col_e] = C[m, e]``, ``T = C G C^T`` with
     ``G[e, f] = <col_e col_f|rho|row_e row_f>``: O(N^2) gathered entries per problem for a
-    density, O(N) for Schmidt and isotropic states. Problems of one family and N are stacked,
-    each state's together, in chunks of ``_CHUNK_BYTES``; each row gets a BLAS call of one
-    shape, so it has the same bits in any batch and chunk. ``N > MAX_PAIR_DIM`` raises first."""
-    states, ks, *_ = zip(*problems)
-    distinct = dict(zip(map(id, states), states))
-    for state in distinct.values():
-        if (n := state.dim) > MAX_PAIR_DIM:
+    density, O(N) for Schmidt and isotropic states. Grouped once by family and N, in problem
+    order, each group writes its rows in chunks of ``_CHUNK_BYTES``; a row gets BLAS calls of
+    one shape, so it has the same bits in any batch. ``N > MAX_PAIR_DIM`` raises first."""
+    groups = {}  # problem indices by (family, N), in order of first appearance
+    for i, (state, *_) in enumerate(problems):
+        groups.setdefault((type(state), state.dim), []).append(i)
+    for family, n in groups:
+        if n > MAX_PAIR_DIM:
             raise DomainError(f"N={n} is beyond the pair-block budget, cap is N={MAX_PAIR_DIM}")
-        if not isinstance(state, (DensityMatrix, SchmidtState, IsotropicState)):
-            raise TypeError(f"not a quantum state: {type(state).__name__}")
-    order, bounds = range(len(ks)), [0, len(ks)]
-    if len(distinct) > 1:  # by family and N, then by state: each state's problems are one run
-        rank = {sid: (type(s).__name__, s.dim, r) for r, (sid, s) in enumerate(distinct.items())}
-        keys = [rank[id(state)] for state in states]
-        order = sorted(order, key=keys.__getitem__)
-        states, ks, keys = ([seq[i] for i in order] for seq in (states, ks, keys))
-        bounds[1:1] = [i for i in range(1, len(keys)) if keys[i][:2] != keys[i - 1][:2]]
-    chunks = [_chunk_moments(states[i:min(i + step, end)], ks[i:min(i + step, end)])
-              for start, end in itertools.pairwise(bounds)
-              for step in [max(1, _CHUNK_BYTES // _row_bytes(states[start]))]
-              for i in range(start, end, step)]
-    t = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+        if not issubclass(family, (DensityMatrix, SchmidtState, IsotropicState)):
+            raise TypeError(f"not a quantum state: {family.__name__}")
+    t = np.empty((len(problems), 4, 4), complex)
+    for group in groups.values():
+        step = max(1, _CHUNK_BYTES // _row_bytes(problems[group[0]][0]))
+        for rows in (group[start:start + step] for start in range(0, len(group), step)):
+            t[rows] = _chunk_moments(*zip(*(problems[i][:2] for i in rows)))
     # Traces of Hermitian products are real; tolerate rounding only.
     imag = float(np.abs(t.imag).max())
     if imag > 1e-9:
         raise ArithmeticError(f"expected real traces, got imaginary parts up to {imag:.3e}")
-    return (t if len(distinct) == 1 else t[np.argsort(order)]).real
+    return t.real
 
 
 def _chunk_moments(states, ks) -> np.ndarray:
-    """``_moments`` of one family and N, each state's problems together."""
+    """``_moments`` of one chunk of one family and N: one gather per run of one state."""
     state, n = states[0], states[0].dim
     rows, cols, c, products = _entries(n, ks)  # checks k
-    runs = [(state, slice(None))] if state is states[-1] else [  # one per state
-        (states[a], slice(a, b)) for a, b in itertools.pairwise(
-            [0, *(i for i in range(1, len(ks)) if states[i] is not states[i - 1]), len(ks)])]
+    runs = [(states[a], slice(a, b)) for a, b in itertools.pairwise(
+        [0, *(i for i in range(1, len(ks)) if states[i] is not states[i - 1]), len(ks)])]
     # Tr[rho (A x B)] = sum rho4[i, k, j, l] A[j, i] B[l, k]. Schmidt: G = diag(c_row c_col),
     # weights on the products C_m C_n. Isotropic: (1 - x) (Schmidt state, c_i = N^-1/2) + x/N^2
     # d_ij d_kl, whose second term pairs the operator traces. n ** -0.5 squared keeps goldens.
     if isinstance(state, DensityMatrix):
-        blocks = [s.rho.reshape(n, n, n, n)[cols[r, :, None], cols[r, None], rows[r, :, None],
-                                            rows[r, None]] for s, r in runs]
-    elif isinstance(state, SchmidtState):
-        blocks = [(a := np.asarray(s.coeffs)).take(rows[r]) * a.take(cols[r]) for s, r in runs]
-    else:
-        blocks = [np.full(rows.shape, n ** -0.5 * n ** -0.5)]
-    g = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-    if isinstance(state, DensityMatrix):
+        g = np.concatenate([s.rho.reshape(n, n, n, n)[cols[r, :, None], cols[r, None],
+                                                      rows[r, :, None], rows[r, None]]
+                            for s, r in runs])
         return c @ g @ c.T
+    if isinstance(state, SchmidtState):
+        g = np.concatenate([(a := np.asarray(s.coeffs)).take(rows[r]) * a.take(cols[r])
+                            for s, r in runs])
+    else:
+        g = np.full(rows.shape, n ** -0.5 * n ** -0.5)
     t = (g[:, None] @ products.T).reshape(-1, 4, 4)
     if isinstance(state, IsotropicState):
         x = np.array([s.x for s in states])[:, None, None]
@@ -151,19 +144,20 @@ def _chunk_moments(states, ks) -> np.ndarray:
 
 
 def _spectra(problems):
-    """``T`` of every ``(state, k, ...)`` problem and the descending eigenpairs of its ``R^T R``."""
+    """``T`` of every ``(state, k, ...)`` problem, ``(tau1, tau2)``: the two largest eigenvalues
+    of its ``R^T R`` floored at 0, and the eigenvectors of ``R^T R``, descending, as columns."""
     t = _moments(problems)
     r = t[:, :3, :3]
-    return (t, *sym3_eig(r.swapaxes(1, 2) @ r))
+    values, vectors = sym3_eig(r.swapaxes(1, 2) @ r)
+    return t, np.maximum(values[:, :2], 0.0), vectors
 
 
-def _correlation_row(k: int, t, values, vectors) -> CorrelationData:
+def _correlation_row(k: int, t, tau, vectors) -> CorrelationData:
     """``CorrelationData`` at ``k`` from its row of ``_spectra``, with read-only copies."""
     r, g, h = (block.copy() for block in (t[:3, :3], t[:3, 3], t[3, :3]))
     for block in (r, g, h, vectors):
         block.setflags(write=False)
-    tau1, tau2 = np.maximum(values[:2], 0.0).tolist()
-    return CorrelationData(k, r, g, h, float(t[3, 3]), tau1, tau2, vectors)
+    return CorrelationData(k, r, g, h, float(t[3, 3]), *tau.tolist(), vectors)
 
 
 def correlation_data(state: QuantumState, k: int) -> CorrelationData:
@@ -214,8 +208,7 @@ def _closed_forms(problems) -> list[ViolationReport]:
     """Closed-form reports ``2 sqrt(tau1 + tau2) + 2p`` for every ``(state, k, ...)`` problem.
     ``formula_valid``: the projector cross terms vanish (a NaN does not), exactly
     so for even N (zero projector) and Schmidt states; else prefer an oracle."""
-    t, eigenvalues, _ = _spectra(problems)
-    tau = np.maximum(eigenvalues[:, :2], 0.0)
+    t, tau, _ = _spectra(problems)
     values = 2.0 * np.sqrt(tau[:, 0] + tau[:, 1]) + 2.0 * t[:, 3, 3]
     cross = np.maximum(np.abs(t[:, :3, 3]), np.abs(t[:, 3, :3])).max(axis=1)
     return [ViolationReport(value=value, tau1=tau1, tau2=tau2, pi_term=2.0 * p, k=problem[1],

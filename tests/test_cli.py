@@ -329,6 +329,43 @@ def test_verify_batches_its_closed_forms(monkeypatch):
                 assert calls == {"closed": 1, "spectra": 1}
 
 
+def test_verify_memory_is_flat_in_samples():
+    # Product densities are drawn one slice at a time and the last slice is
+    # dropped first, so the peak of one slice (256 samples) holds at two and
+    # seven slices (it grew linearly, ~12 KB a sample).
+    import tracemalloc
+
+    from bellmax import verify
+
+    peaks = []
+    for samples in (verify._SLICE, 400, 1600):
+        tracemalloc.start()
+        try:
+            deviations = list(verify.check_product_ceiling(np.random.default_rng(0), samples))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(deviations) == samples
+    assert peaks[2] <= 1.5 * peaks[1]
+    assert peaks[2] <= 1.2 * peaks[0]
+
+
+@pytest.mark.parametrize("name", [
+    "closed-vs-seesaw-even", "closed-vs-seesaw-schmidt", "product-state-ceiling",
+    "gisin-constrained",
+])
+def test_verify_slices_keep_every_deviation(monkeypatch, name):
+    # One problem per batch or the default slice: the same rng draws, the
+    # same deviations, bit for bit.
+    from bellmax import verify
+
+    check = next(entry[1] for entry in verify._CHECKS if entry[0] == name)
+    whole = list(check(np.random.default_rng(3), 8))
+    monkeypatch.setattr(verify, "_SLICE", 1)
+    assert list(check(np.random.default_rng(3), 8)) == whole
+    assert len(whole) > 1
+
+
 @pytest.mark.parametrize("target, check", [
     ("_closed_forms", "product-state-ceiling"),  # the closed-form batch the check calls
     ("_seesaw_batch", "closed-vs-seesaw-even"),  # the see-saw batch the check calls

@@ -246,6 +246,38 @@ def test_chunks_hold_the_budget(monkeypatch):
     assert sizes == [3, 3, 1]
 
 
+def test_interleaved_states_group_once(monkeypatch):
+    # Two Schmidt states interleaved at one N, with a density, an isotropic
+    # state and a Schmidt state of another N between them: one entry table per
+    # (family, N) chunk, in order of first appearance, and every row has the
+    # bits of its one-problem call.
+    rng = np.random.default_rng(15)
+    a, b, c = (sampling.schmidt_state(rng, n) for n in (5, 5, 7))
+    density, iso = sampling.mixed_density(rng, 4), IsotropicState(3, 0.4)
+    problems = [(a, 1), (b, 2), (density, 3), (a, 3), (iso, 2), (c, 6), (b, 4), (a, 5)]
+    singles = [violation._spectra([problem]) for problem in problems]
+    calls = []
+    entries = violation._entries
+
+    def recording(dim, ks):
+        calls.append((dim, list(ks)))
+        return entries(dim, ks)
+
+    monkeypatch.setattr(violation, "_entries", recording)
+    for chunk_bytes, expected in (
+            (violation._CHUNK_BYTES, [(5, [1, 2, 3, 4, 5]), (4, [3]), (3, [2]), (7, [6])]),
+            (2 * violation._row_bytes(a), [(5, [1, 2]), (5, [3, 4]), (5, [5]), (4, [3]),
+                                           (3, [2]), (7, [6])]),
+            (1, [(5, [1]), (5, [2]), (5, [3]), (5, [4]), (5, [5]), (4, [3]), (3, [2]),
+                 (7, [6])])):
+        monkeypatch.setattr(violation, "_CHUNK_BYTES", chunk_bytes)
+        calls.clear()
+        batch = violation._spectra(problems)
+        assert calls == expected
+        for single, stacked in zip(zip(*singles), batch):
+            assert np.array_equal(np.concatenate(single), stacked)
+
+
 def test_nan_cross_term_does_not_certify(monkeypatch):
     # max(0.0, nan) is 0.0, so a running max with max() would certify a NaN
     # cross term; the report rule keeps it, for one k, for every k of a scan,
