@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -74,6 +75,7 @@ def _common_options() -> argparse.ArgumentParser:
     return common
 
 
+@functools.cache  # built once per process; parse_args returns a fresh namespace each call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellmax",
@@ -113,8 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--restarts", type=int, default=SeesawConfig.restarts)
-    p.add_argument("--max-iters", type=int, default=SeesawConfig.max_iters)
-    p.add_argument("--tol", type=float, default=SeesawConfig.tol)
+    p.add_argument("--max-iters", type=int, default=SeesawConfig.max_iters,
+                   help="see-saw iterations plus Newton steps per restart")
+    p.add_argument("--tol", type=float, default=SeesawConfig.tol,
+                   help="stop tolerance: a restart's see-saw iterations stop once one moves "
+                        "the value by at most TOL, its Newton steps once one would gain "
+                        "at most TOL")
     p.add_argument("--constrain-y", action="store_true",
                    help="project the y components out of every update")
     p.set_defaults(func=cmd_optimize)

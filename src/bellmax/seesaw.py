@@ -1,14 +1,16 @@
 """Independent numerical maximisation over measurement settings.
 
-The see-saw alternates exact maximisations of the four-term value over
-one party's directions at a time. Each half-step maximises a linear form
-over the unit sphere, so the objective never decreases and convergence
-to a stationary point is guaranteed. Restart 0 starts from the settings
-that attain the closed-form value, which means the oracle can only
-disagree with the closed form if the closed form itself is wrong; the
-remaining restarts probe for anything the closed form might have missed.
-A problem is one (state, k, config), and every (problem, restart) pair
-is one row of a single array ascent (``_climb``). A call runs one
+The oracle never sees the closed form: every restart starts from random
+directions. Each row first runs see-saw iterations, exact maximisations
+of the four-term value over one party's directions at a time, so its value
+never decreases. The see-saw converges like a power iteration, slowly where
+the singular values of R nearly coincide, so after ``_SEESAW_ITERS``
+iterations every row goes on to safeguarded Riemannian Newton steps on
+``F(b1, b2)``, the value with both ``a`` directions at their best. A row
+that the see-saw already stopped at a stationary point keeps its see-saw
+result; every other row is stepped until the Newton step would gain at most
+``tol``. A problem is one (state, k, config), and every (problem, restart)
+pair is one row of a single array ascent (``_climb``). A call runs one
 problem, ``violation.best_k`` runs every k of a state in one batch, and
 each closed-vs-see-saw check of ``verify`` runs one per slice of its cases.
 """
@@ -23,12 +25,30 @@ from .linalg import hermitian_eigenvalues
 from .operators import BellSettings, GammaSet, bell_operator, make_gamma_set
 from .sampling import unit3
 from .states import QuantumState, as_density
-# correlation_data is unused here; kept because the traced bench wraps it (ROADMAP direction 1).
-from .violation import (_AXIS_FALLBACKS, CorrelationData, _correlation_row, _spectra, _sum3,
-                        _unit, correlation_data, optimal_settings)  # noqa: F401
+# correlation_data and optimal_settings are unused here; kept because the traced bench wraps them.
+from .violation import (_AXIS_FALLBACKS, CorrelationData, _moments, _sum3, _unit,
+                        correlation_data, optimal_settings)  # noqa: F401
 
 #: Rows (problem, restart) per chunk of the ascent: a huge ``restarts`` runs in bounded memory.
 _CHUNK_ROWS = 1024
+
+#: See-saw iterations a row runs at most before the Newton stage of ``_climb``.
+_SEESAW_ITERS = 30
+
+#: Lengths at which a Newton step is tried, longest first, before a see-saw step is taken.
+_SCALES = 0.5 ** np.arange(4)
+
+#: Added to the Newton shift, so that the shifted Hessian is never singular.
+_SHIFT_FLOOR = 1e-12
+
+#: Floor on |u| and |v| in the Newton quantities, which divide by them.
+_NORM_FLOOR = 1e-150
+
+#: Signs of ``(o1 + o2, o1 - o2)``, and of ``v``'s derivative along the four tangents.
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
+_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
+_SIGN_PAIRS = (_SIGNS * _SIGNS.T)[..., None]
+_DIAG = (np.arange(4), np.arange(4))
 
 
 @dataclass(frozen=True)
@@ -67,9 +87,26 @@ def bell_value(state: QuantumState, settings: BellSettings) -> float:
 def _targets(cols: np.ndarray, shift, other: np.ndarray) -> np.ndarray:
     """``(M (o1 + o2) + shift, M (o1 - o2))`` for the other party's pair ``(o1, o2)``, with
     components on the leading axis and rows on the last: ``cols[c, i, 0] = M[i, c]``."""
-    target = _sum3(cols * (other[:, :1] + [[1.0], [-1.0]] * other[:, 1:])[:, None])
+    target = _sum3(cols * (other[:, :1] + _PLUS_MINUS * other[:, 1:])[:, None])
     target[:, 0] += shift
     return target
+
+
+def _sum4(x: np.ndarray) -> np.ndarray:
+    """``_sum3`` for a leading axis of length 4."""
+    return x[0] + x[1] + x[2] + x[3]
+
+
+def _tangents(b: np.ndarray):
+    """Two unit vectors orthogonal to each unit vector along the leading axis of ``b`` and
+    to each other (Duff et al., J. Comput. Graph. Tech. 6, 1 (2017)). A vector in the x-z
+    plane gets one tangent in that plane and one along y, both with exact zeros."""
+    x, y, z = b
+    sign = np.copysign(1.0, z)
+    scale = -1.0 / (sign + z)
+    xy = x * y * scale
+    return (np.array((1.0 + sign * x * x * scale, sign * xy, -sign * x)),
+            np.array((xy, sign + y * y * scale, -y)))
 
 
 def _value(b_targets: np.ndarray, a: np.ndarray, b: np.ndarray, g2, p2) -> np.ndarray:
@@ -87,15 +124,93 @@ def bell_value_from_correlations(corr: CorrelationData, settings: BellSettings) 
     return float(_value(b_targets, v[:, :2], v[:, 2:], 2.0 * corr.g[:, None], 2.0 * corr.p)[0])
 
 
+def _surface(cols, g2, h2, p2, b: np.ndarray):
+    """The value at the best ``a`` for the pairs ``b = (b1, b2)``, ``(3, 2, n)``:
+    ``F(b1, b2) = |u| + |v| + 2 b1.h + 2p`` with ``(u, v) = (R(b1+b2) + 2g, R(b1-b2))``,
+    which ``a = (u/|u|, v/|v|)`` attains. Returns ``F``, ``(u, v)`` and ``(|u|, |v|)``."""
+    uv = _targets(cols, g2, b)
+    norms = np.sqrt(_sum3(uv * uv))
+    return norms[0] + norms[1] + _sum3(b[:, 0] * h2) + p2, uv, norms
+
+
+def _newton_parts(cols, cols_t, g2, h2, p2, b: np.ndarray):
+    """``F`` and ``(u, v)`` (``_surface``) with the Riemannian gradient and Hessian of ``F``
+    on the product of the two spheres, in the tangent basis ``basis`` ``(3, 4, n)``: two unit
+    vectors orthogonal to ``b1``, then two orthogonal to ``b2``. With ``W = R basis`` and
+    ``s = (1, 1, -1, -1)``, the gradient is ``W^T u^ + s W^T v^ + (basis^T 2h, 0)`` and the
+    Hessian ``W^T P_u W / |u| + s W^T P_v W s / |v|``, ``P_u = I - u^ u^T``, minus ``b.grad F``
+    on each sphere's block (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008, ch. 5-6). Also returns the Euclidean gradient ``(R^T(u^+v^) + 2h,
+    R^T(u^-v^))``, which is the target of the see-saw's b-step from ``a = (u^, v^)``."""
+    f, uv, norms = _surface(cols, g2, h2, p2, b)
+    norms = np.maximum(norms, _NORM_FLOOR)
+    unit = uv / norms
+    euclid = _targets(cols_t, h2, unit)
+    basis = np.stack(_tangents(b), 2).reshape(3, 4, -1)
+    w = _sum3(cols * basis[:, None])
+    wu, wv = _sum3(w * unit[:, :1]), _sum3(w * unit[:, 1:]) * _SIGNS
+    grad = _sum3(basis * np.repeat(euclid, 2, axis=1))
+    ww = _sum3(w[:, :, None] * w[:, None])
+    hess = (ww - wu[:, None] * wu) / norms[0] + (_SIGN_PAIRS * ww - wv[:, None] * wv) / norms[1]
+    hess[_DIAG] -= np.repeat(_sum3(b * euclid), 2, axis=0)
+    return f, uv, grad, hess, basis, euclid
+
+
+def _newton(cols, cols_t, g2, h2, p2, b: np.ndarray, budget: np.ndarray, tol: float):
+    """Safeguarded Riemannian Newton ascent of ``F`` (``_newton_parts``) from the pairs ``b``,
+    ``(3, 2, n)``, for at most ``budget`` ``(n,)`` steps per row. The reduced Hessian is
+    shifted by twice its largest eigenvalue, if positive, plus the reduced gradient norm,
+    which makes it negative definite and steadies the step where the maximisers are not
+    isolated (regularised Newton; Ueda & Yamashita, Appl. Math. Optim. 62, 27 (2010)).
+    A row stops once the step's gain on the shifted quadratic model, ``grad.step / 2``, is
+    at most ``tol``. A step is tried at lengths 1, 1/2, 1/4 and 1/8 and taken at the first
+    that raises ``F``, else one see-saw step is taken. Per row: value, steps, converged,
+    and ``(a1, a2, b1, b2)`` with ``a = (u/|u|, v/|v|)``."""
+    n = b.shape[-1]
+    value, steps, converged = np.empty(n), np.zeros(n, int), np.zeros(n, bool)
+    vectors = np.empty((3, 4, n))
+    rows = np.arange(n)
+    for step in range(int(budget.max(initial=0)) + 1):
+        f, uv, grad, hess, basis, euclid = _newton_parts(cols, cols_t, g2, h2, p2, b)
+        top = np.linalg.eigvalsh(hess.transpose(2, 0, 1))[:, -1]
+        hess[_DIAG] -= 2.0 * np.maximum(top, 0.0) + np.sqrt(_sum4(grad * grad)) + _SHIFT_FLOOR
+        direction = np.linalg.solve(hess.transpose(2, 0, 1), -grad.T[..., None])[..., 0].T
+        small = _sum4(grad * direction) / 2 <= tol
+        done = small | (step >= budget)
+        if np.count_nonzero(done):
+            value[rows[done]], steps[rows[done]], converged[rows[done]] = f[done], step, small[done]
+            a = _unit(uv[..., done], _AXIS_FALLBACKS[:2].T[..., None], 1e-300)
+            vectors[..., rows[done]] = np.concatenate((a, b[..., done]), 1)
+            if done.all():
+                break
+            keep = ~done
+            cols, cols_t, g2, h2, p2, b, budget, rows, f, basis, euclid, direction = (
+                x[..., keep] for x in (cols, cols_t, g2, h2, p2, b, budget, rows, f, basis,
+                                       euclid, direction))
+        move = (basis * direction).reshape(3, 2, 2, -1)
+        tries = b[:, :, None] + _SCALES[:, None] * (move[:, :, 0] + move[:, :, 1])[:, :, None]
+        tries = np.concatenate((_unit(tries, 0.0), _unit(euclid, b, 1e-300)[:, :, None]), 2)
+        count = tries.shape[2]
+        rises = _surface(*(np.tile(x, count) for x in (cols, g2, h2, p2)),
+                         tries.reshape(3, 2, -1))[0].reshape(count, -1) > f
+        pick = np.where(rises[:-1].any(0), rises[:-1].argmax(0), len(_SCALES))
+        b = tries[:, :, pick, np.arange(len(pick))]
+    return value, steps, converged, vectors
+
+
 def _climb(cols, cols_t, g2, h2, p2, starts: np.ndarray, cfg: SeesawConfig):
-    """See-saw each row of ``starts = (a1, a2, b1, b2)``, ``(3, 4, n)``, against its ``R``
+    """Ascend each row of ``starts = (a1, a2, b1, b2)``, ``(3, 4, n)``, against its ``R``
     (``cols[c, i, 0] = R[i, c]``, ``cols_t`` for ``R^T``), ``2g``, ``2h`` ``(3, n)``, ``2p``
-    ``(n,)``: a target of norm < 1e-300 keeps the old vector, a row stops once an iteration
-    moves its value by at most ``cfg.tol``. Per row: value, iterations, converged, vectors."""
+    ``(n,)``. Every row first runs up to ``_SEESAW_ITERS`` see-saw iterations, in which a
+    target of norm < 1e-300 keeps the old vector and a row stops once an iteration moves its
+    value by at most ``cfg.tol``. If ``cfg.max_iters`` allows more, every row then goes to
+    ``_newton`` for the rest of its ``cfg.max_iters``: a row that stopped at a stationary
+    point keeps its see-saw result, and any other row takes Newton steps until it converges.
+    Per row: value, iterations, converged, vectors."""
     a, b = starts[:, :2], starts[:, 2:]
     value = _value(_targets(cols_t, h2, a), a, b, g2, p2)
     used, running = np.zeros(value.shape, int), np.ones(value.shape, bool)
-    for _ in range(cfg.max_iters):
+    for _ in range(min(cfg.max_iters, _SEESAW_ITERS)):
         a = np.where(running, _unit(_targets(cols, g2, b), a, 1e-300), a)
         b_targets = _targets(cols_t, h2, a)
         b = np.where(running, _unit(b_targets, b, 1e-300), b)
@@ -105,22 +220,27 @@ def _climb(cols, cols_t, g2, h2, p2, starts: np.ndarray, cfg: SeesawConfig):
         value = updated
         if not np.count_nonzero(running):
             break
-    return value, used, ~running, np.concatenate((a, b), 1)
+    vectors = np.concatenate((a, b), 1)
+    if cfg.max_iters <= _SEESAW_ITERS:
+        return value, used, ~running, vectors
+    polished, steps, converged, newton_vectors = _newton(
+        cols, cols_t, g2, h2, p2, b, cfg.max_iters - used, cfg.tol)
+    moved = steps > 0
+    return (np.where(moved, polished, value), used + steps, converged,
+            np.where(moved, newton_vectors, vectors))
 
 
 def _seesaw_batch(problems, constrain_y: bool = False) -> list[OracleResult]:
     """``seesaw_maximize`` for every ``(state, k, cfg)`` in ``problems``, whose configs may
-    differ only in ``seed``: one ``_spectra`` call for every problem, then one ascent of
+    differ only in ``seed``: one ``_moments`` call for every problem, then one ascent of
     every (problem, restart) row, in restart chunks of at most ``_CHUNK_ROWS`` rows."""
     cfgs = [cfg if cfg is not None else SeesawConfig() for _, _, cfg in problems]
     cfg = cfgs[0]
     if len({(c.restarts, c.max_iters, c.tol) for c in cfgs}) > 1:
         raise ValueError("the configs of one see-saw batch may differ only in seed")
-    t, *spectra = _spectra(problems)
-    corrs = [_correlation_row(k, *row) for (_, k, _), *row in zip(problems, t, *spectra)]
-    warm = np.array([[s.a1, s.a2, s.b1, s.b2] for s in map(optimal_settings, corrs)])
+    t = _moments(problems)
     r, g, h = (np.array(block) for block in (t[:, :3, :3], t[:, :3, 3], t[:, 3, :3]))
-    if constrain_y:  # after the warm start
+    if constrain_y:
         r[:, 1, :] = r[:, :, 1] = g[:, 1] = h[:, 1] = 0.0
     stacks = r.T[:, :, None], r.T.swapaxes(0, 1)[:, :, None], 2.0 * g.T, 2.0 * h.T, 2.0 * t[:, 3, 3]
     seeds = list(dict.fromkeys(c.seed for c in cfgs))
@@ -130,12 +250,9 @@ def _seesaw_batch(problems, constrain_y: bool = False) -> list[OracleResult]:
     records = [[] for _ in problems]  # runs that beat all earlier runs, within cfg.tol of the best
     for first in range(0, cfg.restarts, step):
         # Problems with one seed share their starts, drawn in restart order just before their chunk.
-        count, warm_slots = min(step, cfg.restarts - first), int(first == 0)
-        drawn = [[unit3(rng) for _ in range(4 * (count - warm_slots))] for rng in rngs]
-        starts = np.empty((3, 4, len(problems), count))
-        starts[..., :warm_slots] = warm.T[..., None]
-        starts[..., warm_slots:] = np.reshape(
-            drawn, (len(rngs), count - warm_slots, 4, 3))[which].transpose(3, 2, 0, 1)
+        count = min(step, cfg.restarts - first)
+        drawn = [[unit3(rng) for _ in range(4 * count)] for rng in rngs]
+        starts = np.reshape(drawn, (len(rngs), count, 4, 3))[which].transpose(3, 2, 0, 1)
         if constrain_y:
             starts[1] = 0.0
             starts = _unit(starts, _AXIS_FALLBACKS.T[..., None, None])
@@ -152,13 +269,16 @@ def seesaw_maximize(state: QuantumState, k: int, cfg: SeesawConfig | None = None
                     constrain_y: bool = False) -> OracleResult:
     """Maximise the four-term value over settings for a fixed state.
 
-    Exact coordinate updates: ``a1 <- unit(R(b1+b2) + 2g)``, ``a2 <- unit(R(b1-b2))``,
-    then ``b1 <- unit(R^T(a1+a2) + 2h)``, ``b2 <- unit(R^T(a1-a2))``, until the objective
-    change drops below ``cfg.tol``. With ``constrain_y`` the y parts of ``R``, ``g`` and
-    ``h`` are zeroed once the warm start is taken, and the starts are projected, so every
-    update stays in the x-z plane. Identical seed and config give bit-identical results.
-    This is the one-problem case of ``_seesaw_batch``: every restart is a row of one array
-    ascent, and the lowest restart whose value is within ``cfg.tol`` of the best is reported.
+    Each restart starts from random directions and runs up to ``_SEESAW_ITERS`` exact
+    coordinate updates, ``a1 <- unit(R(b1+b2) + 2g)``, ``a2 <- unit(R(b1-b2))``, then
+    ``b1 <- unit(R^T(a1+a2) + 2h)``, ``b2 <- unit(R^T(a1-a2))``, stopping once one moves the
+    value by at most ``cfg.tol``; then, if ``cfg.max_iters`` allows more, Newton steps until
+    a step would gain at most ``cfg.tol`` (``_climb``). ``iterations_used`` counts both
+    kinds, and ``converged`` is the last stop test's verdict. With ``constrain_y`` the y
+    parts of ``R``, ``g`` and ``h`` are zeroed and the starts are projected, so every update
+    stays in the x-z plane. Identical seed and config give bit-identical results. This is
+    the one-problem case of ``_seesaw_batch``: every restart is a row of one array ascent,
+    and the lowest restart whose value is within ``cfg.tol`` of the best is reported.
     """
     return _seesaw_batch([(state, k, cfg)], constrain_y)[0]
 

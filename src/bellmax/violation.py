@@ -13,7 +13,7 @@ closed form holds for every state; for odd dimension it is certified
 when the cross vectors vanish (Schmidt states always satisfy this).
 The moments of many (state, k) problems are one batched contraction ``C G C^T``
 (``_moments``), O(N) per k for Schmidt and isotropic states. A single-k call,
-``scan_k`` and the see-saw's warm start are all cases of that one path.
+``scan_k`` and the see-saw's moments are all cases of that one path.
 """
 
 from __future__ import annotations
