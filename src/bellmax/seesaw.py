@@ -44,8 +44,7 @@ _SHIFT_FLOOR = 1e-12
 #: Floor on |u| and |v| in the Newton quantities, which divide by them.
 _NORM_FLOOR = 1e-150
 
-#: Signs of ``(o1 + o2, o1 - o2)``, and of ``v``'s derivative along the four tangents.
-_PLUS_MINUS = np.array([[1.0], [-1.0]])
+#: Signs of ``v``'s derivative along the four tangents.
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
 _SIGN_PAIRS = (_SIGNS * _SIGNS.T)[..., None]
 _DIAG = (np.arange(4), np.arange(4))
@@ -87,7 +86,7 @@ def bell_value(state: QuantumState, settings: BellSettings) -> float:
 def _targets(cols: np.ndarray, shift, other: np.ndarray) -> np.ndarray:
     """``(M (o1 + o2) + shift, M (o1 - o2))`` for the other party's pair ``(o1, o2)``, with
     components on the leading axis and rows on the last: ``cols[c, i, 0] = M[i, c]``."""
-    target = _sum3(cols * (other[:, :1] + _PLUS_MINUS * other[:, 1:])[:, None])
+    target = _sum3(cols * (other[:, :1] + [[1.0], [-1.0]] * other[:, 1:])[:, None])
     target[:, 0] += shift
     return target
 
@@ -203,9 +202,10 @@ def _climb(cols, cols_t, g2, h2, p2, starts: np.ndarray, cfg: SeesawConfig):
     (``cols[c, i, 0] = R[i, c]``, ``cols_t`` for ``R^T``), ``2g``, ``2h`` ``(3, n)``, ``2p``
     ``(n,)``. Every row first runs up to ``_SEESAW_ITERS`` see-saw iterations, in which a
     target of norm < 1e-300 keeps the old vector and a row stops once an iteration moves its
-    value by at most ``cfg.tol``. If ``cfg.max_iters`` allows more, every row then goes to
-    ``_newton`` for the rest of its ``cfg.max_iters``: a row that stopped at a stationary
-    point keeps its see-saw result, and any other row takes Newton steps until it converges.
+    value by at most ``cfg.tol``. Every row then goes to ``_newton`` for the rest of its
+    ``cfg.max_iters``: a row that stopped at a stationary point keeps its see-saw result,
+    and any other row takes Newton steps until it converges or its budget is spent. A row
+    with no budget left gets only the stop test, which sets ``converged``.
     Per row: value, iterations, converged, vectors."""
     a, b = starts[:, :2], starts[:, 2:]
     value = _value(_targets(cols_t, h2, a), a, b, g2, p2)
@@ -221,8 +221,6 @@ def _climb(cols, cols_t, g2, h2, p2, starts: np.ndarray, cfg: SeesawConfig):
         if not np.count_nonzero(running):
             break
     vectors = np.concatenate((a, b), 1)
-    if cfg.max_iters <= _SEESAW_ITERS:
-        return value, used, ~running, vectors
     polished, steps, converged, newton_vectors = _newton(
         cols, cols_t, g2, h2, p2, b, cfg.max_iters - used, cfg.tol)
     moved = steps > 0
@@ -272,9 +270,9 @@ def seesaw_maximize(state: QuantumState, k: int, cfg: SeesawConfig | None = None
     Each restart starts from random directions and runs up to ``_SEESAW_ITERS`` exact
     coordinate updates, ``a1 <- unit(R(b1+b2) + 2g)``, ``a2 <- unit(R(b1-b2))``, then
     ``b1 <- unit(R^T(a1+a2) + 2h)``, ``b2 <- unit(R^T(a1-a2))``, stopping once one moves the
-    value by at most ``cfg.tol``; then, if ``cfg.max_iters`` allows more, Newton steps until
+    value by at most ``cfg.tol``; then Newton steps, within ``cfg.max_iters`` in all, until
     a step would gain at most ``cfg.tol`` (``_climb``). ``iterations_used`` counts both
-    kinds, and ``converged`` is the last stop test's verdict. With ``constrain_y`` the y
+    kinds, and ``converged`` is the Newton stop test's verdict. With ``constrain_y`` the y
     parts of ``R``, ``g`` and ``h`` are zeroed and the starts are projected, so every update
     stays in the x-z plane. Identical seed and config give bit-identical results. This is
     the one-problem case of ``_seesaw_batch``: every restart is a row of one array ascent,
