@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 verification failure, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -75,7 +74,6 @@ def _common_options() -> argparse.ArgumentParser:
     return common
 
 
-@functools.cache  # built once per process; parse_args returns a fresh namespace each call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellmax",

@@ -471,17 +471,6 @@ def test_manifest_embedded_everywhere(capsys, example1):
         assert list(manifest["parameters"]) == options + ["output"]
 
 
-def test_parser_is_built_once_and_parses_afresh():
-    # cli.main reuses one parser per process; each parse starts from its
-    # defaults, so an option given to one call does not reach the next.
-    assert cli.build_parser() is cli.build_parser()
-    parser = cli.build_parser()
-    first = parser.parse_args(["optimize", "--state", "s.json", "--k", "2", "--restarts", "3"])
-    second = parser.parse_args(["optimize", "--state", "s.json", "--k", "2"])
-    assert first is not second
-    assert (first.restarts, second.restarts) == (3, seesaw.SeesawConfig.restarts)
-
-
 def test_manifest_timestamp_present_by_default(capsys):
     payload = run_json(capsys, "gamma", "--N", "2", "--axis", "x")
     assert "timestamp" in payload["manifest"]
