@@ -9,17 +9,27 @@ from .operators import BellSettings
 from .states import DensityMatrix, SchmidtState
 
 
+def unit3_stack(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` uniform directions on the unit sphere, ``(count, 3)``, from one normal
+    draw of ``count`` triples. A triple of norm at most 1e-6 is dropped and replaced by
+    further draws, in stream order, so the rows and the generator's final state do not
+    depend on how many rows are drawn per call."""
+    v = rng.normal(size=(count, 3))
+    norms = np.sqrt(np.vecdot(v, v))[:, None]
+    kept = norms[:, 0] > 1e-6
+    if kept.all():
+        return v / norms
+    return np.concatenate((v[kept] / norms[kept],
+                           unit3_stack(rng, count - np.count_nonzero(kept))))
+
+
 def unit3(rng: np.random.Generator) -> np.ndarray:
-    """Uniform direction on the unit sphere."""
-    while True:
-        v = rng.normal(size=3)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-6:
-            return v / norm
+    """Uniform direction on the unit sphere: the one-row ``unit3_stack``."""
+    return unit3_stack(rng, 1)[0]
 
 
 def random_settings(rng: np.random.Generator, k: int = 1) -> BellSettings:
-    return BellSettings(unit3(rng), unit3(rng), unit3(rng), unit3(rng), k=k)
+    return BellSettings(*unit3_stack(rng, 4), k=k)
 
 
 def state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -9,9 +9,12 @@ iterations every row goes on to safeguarded Riemannian Newton steps on
 ``F(b1, b2)``, the value with both ``a`` directions at their best. A row
 that the see-saw already stopped at a stationary point keeps its see-saw
 result; every other row is stepped until the Newton step would gain at most
-``tol``. A problem is one (state, k, config), and every (problem, restart)
-pair is one row of a single array ascent (``_climb``). A call runs one
-problem, ``violation.best_k`` runs every k of a state in one batch, and
+``tol``. Every row tries the full Newton step; only the rows where it does not
+raise the value try shorter lengths, then a see-saw step. A problem is one
+(state, k, config), and every (problem, restart)
+pair is one row of a single array ascent (``_climb``), whose random starts
+each seed draws in one call per chunk (``sampling.unit3_stack``). A call runs
+one problem, ``violation.best_k`` runs every k of a state in one batch, and
 each closed-vs-see-saw check of ``verify`` runs one per slice of its cases.
 """
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from .linalg import hermitian_eigenvalues
 from .operators import BellSettings, GammaSet, bell_operator, make_gamma_set
-from .sampling import unit3
+from .sampling import unit3_stack
 from .states import QuantumState, as_density
 # correlation_data and optimal_settings are unused here; kept because the traced bench wraps them.
 from .violation import (_AXIS_FALLBACKS, CorrelationData, _moments, _sum3, _unit,
@@ -35,7 +38,7 @@ _CHUNK_ROWS = 1024
 #: See-saw iterations a row runs at most before the Newton stage of ``_climb``.
 _SEESAW_ITERS = 30
 
-#: Lengths at which a Newton step is tried, longest first, before a see-saw step is taken.
+#: Lengths at which a Newton step is tried, the full step first, before a see-saw step is taken.
 _SCALES = 0.5 ** np.arange(4)
 
 #: Added to the Newton shift, so that the shifted Hessian is never singular.
@@ -155,6 +158,28 @@ def _newton_parts(cols, cols_t, g2, h2, p2, b: np.ndarray):
     return f, uv, grad, hess, basis, euclid
 
 
+def _line_search(cols, g2, h2, p2, b: np.ndarray, move: np.ndarray, euclid: np.ndarray, f):
+    """The next pairs from ``b`` along the Newton steps ``move``, both ``(3, 2, n)``: ``b + s
+    move`` back on the spheres at the first length ``s`` of ``_SCALES`` that raises ``F`` above
+    ``f``, else the see-saw step ``unit(euclid)``. Every row tries the full step; only the rows
+    where it fails try the shorter lengths and the see-saw step (backtracking; Absil, Mahony &
+    Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 4)."""
+    full = _unit(b + move, 0.0)
+    fails = ~(_surface(cols, g2, h2, p2, full)[0] > f)
+    if not np.count_nonzero(fails):
+        return full
+    cols, g2, h2, p2, b, move, euclid, f = (
+        x[..., fails] for x in (cols, g2, h2, p2, b, move, euclid, f))
+    tries = b[:, :, None] + _SCALES[1:, None] * move[:, :, None]
+    tries = np.concatenate((_unit(tries, 0.0), _unit(euclid, b, 1e-300)[:, :, None]), 2)
+    count = tries.shape[2]
+    rises = _surface(*(np.tile(x, count) for x in (cols, g2, h2, p2)),
+                     tries.reshape(3, 2, -1))[0].reshape(count, -1) > f
+    pick = np.where(rises[:-1].any(0), rises[:-1].argmax(0), count - 1)
+    full[..., fails] = tries[:, :, pick, np.arange(len(pick))]
+    return full
+
+
 def _newton(cols, cols_t, g2, h2, p2, b: np.ndarray, budget: np.ndarray, tol: float):
     """Safeguarded Riemannian Newton ascent of ``F`` (``_newton_parts``) from the pairs ``b``,
     ``(3, 2, n)``, for at most ``budget`` ``(n,)`` steps per row. The reduced Hessian is
@@ -162,9 +187,10 @@ def _newton(cols, cols_t, g2, h2, p2, b: np.ndarray, budget: np.ndarray, tol: fl
     which makes it negative definite and steadies the step where the maximisers are not
     isolated (regularised Newton; Ueda & Yamashita, Appl. Math. Optim. 62, 27 (2010)).
     A row stops once the step's gain on the shifted quadratic model, ``grad.step / 2``, is
-    at most ``tol``. A step is tried at lengths 1, 1/2, 1/4 and 1/8 and taken at the first
-    that raises ``F``, else one see-saw step is taken. Per row: value, steps, converged,
-    and ``(a1, a2, b1, b2)`` with ``a = (u/|u|, v/|v|)``."""
+    at most ``tol``. Any other row moves by ``_line_search``: the full step where it raises
+    ``F``, else the first of the shorter lengths 1/2, 1/4 and 1/8 that does, else one see-saw
+    step. Per row: value, steps, converged, and ``(a1, a2, b1, b2)`` with ``a = (u/|u|,
+    v/|v|)``."""
     n = b.shape[-1]
     value, steps, converged = np.empty(n), np.zeros(n, int), np.zeros(n, bool)
     vectors = np.empty((3, 4, n))
@@ -187,13 +213,7 @@ def _newton(cols, cols_t, g2, h2, p2, b: np.ndarray, budget: np.ndarray, tol: fl
                 x[..., keep] for x in (cols, cols_t, g2, h2, p2, b, budget, rows, f, basis,
                                        euclid, direction))
         move = (basis * direction).reshape(3, 2, 2, -1)
-        tries = b[:, :, None] + _SCALES[:, None] * (move[:, :, 0] + move[:, :, 1])[:, :, None]
-        tries = np.concatenate((_unit(tries, 0.0), _unit(euclid, b, 1e-300)[:, :, None]), 2)
-        count = tries.shape[2]
-        rises = _surface(*(np.tile(x, count) for x in (cols, g2, h2, p2)),
-                         tries.reshape(3, 2, -1))[0].reshape(count, -1) > f
-        pick = np.where(rises[:-1].any(0), rises[:-1].argmax(0), len(_SCALES))
-        b = tries[:, :, pick, np.arange(len(pick))]
+        b = _line_search(cols, g2, h2, p2, b, move[:, :, 0] + move[:, :, 1], euclid, f)
     return value, steps, converged, vectors
 
 
@@ -249,7 +269,7 @@ def _seesaw_batch(problems, constrain_y: bool = False) -> list[OracleResult]:
     for first in range(0, cfg.restarts, step):
         # Problems with one seed share their starts, drawn in restart order just before their chunk.
         count = min(step, cfg.restarts - first)
-        drawn = [[unit3(rng) for _ in range(4 * count)] for rng in rngs]
+        drawn = [unit3_stack(rng, 4 * count) for rng in rngs]
         starts = np.reshape(drawn, (len(rngs), count, 4, 3))[which].transpose(3, 2, 0, 1)
         if constrain_y:
             starts[1] = 0.0

@@ -178,14 +178,14 @@ def test_seesaw_draws_each_start_when_its_restart_runs(monkeypatch):
     # for one problem and for a batch of problems with distinct seeds.
     draws = {}
 
-    def counting_unit3(rng):
-        draws[id(rng)] = draws.get(id(rng), 0) + 1
-        return sampling.unit3(rng)
+    def counting_unit3_stack(rng, count):
+        draws[id(rng)] = draws.get(id(rng), 0) + count
+        return sampling.unit3_stack(rng, count)
 
     def first_ascent(*args):
         raise RuntimeError("first ascent")
 
-    monkeypatch.setattr(seesaw, "unit3", counting_unit3)
+    monkeypatch.setattr(seesaw, "unit3_stack", counting_unit3_stack)
     monkeypatch.setattr(seesaw, "_climb", first_ascent)
     restarts = 100 * seesaw._CHUNK_ROWS
     for seeds in ((0,), (0, 1, 2)):
@@ -521,6 +521,45 @@ def test_newton_stack_matches_each_row(monkeypatch):
         alone = newton(*(x[..., [row]] for x in stacks), budget[[row]], tol)
         for first, second in zip(whole, alone):
             assert np.array_equal(first[..., [row]], second)
+
+
+def eager_line_search(cols, g2, h2, p2, b, move, euclid, f):
+    """The line search that tries every length of ``_SCALES`` and the see-saw step on
+    every row, then takes the first length that raises ``F``, else the see-saw step."""
+    tries = b[:, :, None] + seesaw._SCALES[:, None] * move[:, :, None]
+    tries = np.concatenate((seesaw._unit(tries, 0.0),
+                            seesaw._unit(euclid, b, 1e-300)[:, :, None]), 2)
+    count = tries.shape[2]
+    rises = seesaw._surface(*(np.tile(x, count) for x in (cols, g2, h2, p2)),
+                            tries.reshape(3, 2, -1))[0].reshape(count, -1) > f
+    pick = np.where(rises[:-1].any(0), rises[:-1].argmax(0), count - 1)
+    return tries[:, :, pick, np.arange(len(pick))], pick
+
+
+def test_line_search_matches_eager_picks():
+    # Trying the shorter lengths only where the full step fails picks, bit for bit,
+    # what trying every length on every row picks: on random stacks with steps of
+    # many sizes, plus rows forced to fail the full step (f at F of the full step)
+    # and rows forced to fail every length (f = inf) and take the see-saw step.
+    rng = np.random.default_rng(17)
+    picks = []
+    for n in (1, 5, 64, 300):
+        r = rng.normal(size=(n, 3, 3))
+        cols, g2, h2 = r.T[:, :, None], rng.normal(size=(3, n)), rng.normal(size=(3, n))
+        p2 = rng.normal(size=n)
+        b = seesaw._unit(rng.normal(size=(3, 2, n)), 0.0)
+        move = rng.normal(size=(3, 2, n)) * 10.0 ** rng.uniform(-4, 1, size=n)
+        euclid = rng.normal(size=(3, 2, n))
+        f = seesaw._surface(cols, g2, h2, p2, b)[0]
+        full = seesaw._surface(cols, g2, h2, p2, seesaw._unit(b + move, 0.0))[0]
+        forced = rng.integers(0, 4, size=n)
+        f = np.where(forced == 1, full, np.where(forced == 2, np.inf, f))
+        expected, pick = eager_line_search(cols, g2, h2, p2, b, move, euclid, f)
+        assert np.array_equal(seesaw._line_search(cols, g2, h2, p2, b, move, euclid, f),
+                              expected)
+        picks.append(pick)
+    picks = np.concatenate(picks)
+    assert np.all(np.bincount(picks, minlength=len(seesaw._SCALES) + 1)[[0, 1, -1]] > 0)
 
 
 def test_verify_rows_all_converge(monkeypatch):
