@@ -158,26 +158,33 @@ def _newton_parts(cols, cols_t, g2, h2, p2, b: np.ndarray):
     return f, uv, grad, hess, basis, euclid
 
 
-def _line_search(cols, g2, h2, p2, b: np.ndarray, move: np.ndarray, euclid: np.ndarray, f):
-    """The next pairs from ``b`` along the Newton steps ``move``, both ``(3, 2, n)``: ``b + s
-    move`` back on the spheres at the first length ``s`` of ``_SCALES`` that raises ``F`` above
-    ``f``, else the see-saw step ``unit(euclid)``. Every row tries the full step; only the rows
-    where it fails try the shorter lengths and the see-saw step (backtracking; Absil, Mahony &
-    Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 4)."""
-    full = _unit(b + move, 0.0)
-    fails = ~(_surface(cols, g2, h2, p2, full)[0] > f)
+def _line_search(cols, cols_t, g2, h2, p2, b: np.ndarray, move: np.ndarray,
+                 euclid: np.ndarray, f):
+    """The next pairs from ``b`` along the Newton steps ``move``, both ``(3, 2, n)``: the
+    first candidate that raises ``F`` above ``f``, else the see-saw step ``unit(euclid)``.
+    The candidates are ``b + s move`` back on the spheres at each length ``s`` of
+    ``_SCALES``, then the full step followed by a see-saw step. Every row tries the full
+    step; only the rows where it fails try the rest (backtracking; Absil, Mahony &
+    Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 4). Where R's
+    singular values nearly coincide, the maximisers of ``F`` form a curved ridge that the
+    step leaves at second order, which can cost more than the step gains along the ridge;
+    the see-saw step after it returns to the ridge (a second-order correction)."""
+    taken = _unit(b + move, 0.0)
+    f_full, uv, norms = _surface(cols, g2, h2, p2, taken)
+    fails = ~(f_full > f)
     if not np.count_nonzero(fails):
-        return full
-    cols, g2, h2, p2, b, move, euclid, f = (
-        x[..., fails] for x in (cols, g2, h2, p2, b, move, euclid, f))
-    tries = b[:, :, None] + _SCALES[1:, None] * move[:, :, None]
-    tries = np.concatenate((_unit(tries, 0.0), _unit(euclid, b, 1e-300)[:, :, None]), 2)
+        return taken
+    cols, cols_t, g2, h2, p2, b, move, euclid, f, full, uv, norms = (
+        x[..., fails] for x in (cols, cols_t, g2, h2, p2, b, move, euclid, f, taken, uv, norms))
+    tries = _unit(b[:, :, None] + _SCALES[1:, None] * move[:, :, None], 0.0)
+    corrected = _unit(_targets(cols_t, h2, uv / np.maximum(norms, _NORM_FLOOR)), full, 1e-300)
+    tries = np.concatenate((tries, corrected[:, :, None], _unit(euclid, b, 1e-300)[:, :, None]), 2)
     count = tries.shape[2]
     rises = _surface(*(np.tile(x, count) for x in (cols, g2, h2, p2)),
                      tries.reshape(3, 2, -1))[0].reshape(count, -1) > f
     pick = np.where(rises[:-1].any(0), rises[:-1].argmax(0), count - 1)
-    full[..., fails] = tries[:, :, pick, np.arange(len(pick))]
-    return full
+    taken[..., fails] = tries[:, :, pick, np.arange(len(pick))]
+    return taken
 
 
 def _newton(cols, cols_t, g2, h2, p2, b: np.ndarray, budget: np.ndarray, tol: float):
@@ -188,8 +195,8 @@ def _newton(cols, cols_t, g2, h2, p2, b: np.ndarray, budget: np.ndarray, tol: fl
     isolated (regularised Newton; Ueda & Yamashita, Appl. Math. Optim. 62, 27 (2010)).
     A row stops once the step's gain on the shifted quadratic model, ``grad.step / 2``, is
     at most ``tol``. Any other row moves by ``_line_search``: the full step where it raises
-    ``F``, else the first of the shorter lengths 1/2, 1/4 and 1/8 that does, else one see-saw
-    step. Per row: value, steps, converged, and ``(a1, a2, b1, b2)`` with ``a = (u/|u|,
+    ``F``, else the first of the lengths 1/2, 1/4 and 1/8 that does, else the full step
+    followed by a see-saw step if that does, else one see-saw step. Per row: value, steps, converged, and ``(a1, a2, b1, b2)`` with ``a = (u/|u|,
     v/|v|)``."""
     n = b.shape[-1]
     value, steps, converged = np.empty(n), np.zeros(n, int), np.zeros(n, bool)
@@ -213,7 +220,7 @@ def _newton(cols, cols_t, g2, h2, p2, b: np.ndarray, budget: np.ndarray, tol: fl
                 x[..., keep] for x in (cols, cols_t, g2, h2, p2, b, budget, rows, f, basis,
                                        euclid, direction))
         move = (basis * direction).reshape(3, 2, 2, -1)
-        b = _line_search(cols, g2, h2, p2, b, move[:, :, 0] + move[:, :, 1], euclid, f)
+        b = _line_search(cols, cols_t, g2, h2, p2, b, move[:, :, 0] + move[:, :, 1], euclid, f)
     return value, steps, converged, vectors
 
 

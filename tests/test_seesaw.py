@@ -299,10 +299,13 @@ def _newton_reference(r, g, h, p, b1, b2, budget, tol):
         small = grad @ move / 2 <= tol
         if small or step == budget:
             return f, (uh, vh, b1, b2), step, bool(small)
-        for scale in (1.0, 0.5, 0.25, 0.125):
-            tries = unit(b1 + scale * (t1 @ move[:2])), unit(b2 + scale * (t2 @ move[2:]))
-            if surface(*tries)[0] > f:
-                b1, b2 = tries
+        tries = [(unit(b1 + scale * (t1 @ move[:2])), unit(b2 + scale * (t2 @ move[2:])))
+                 for scale in (1.0, 0.5, 0.25, 0.125)]
+        _, u, v = surface(*tries[0])  # the full step, then a see-saw step
+        tries.append((unit(r.T @ (unit(u) + unit(v)) + 2.0 * h), unit(r.T @ (unit(u) - unit(v)))))
+        for candidate in tries:
+            if surface(*candidate)[0] > f:
+                b1, b2 = candidate
                 break
         else:
             b1, b2 = unit(grad1), unit(grad2)
@@ -523,11 +526,15 @@ def test_newton_stack_matches_each_row(monkeypatch):
             assert np.array_equal(first[..., [row]], second)
 
 
-def eager_line_search(cols, g2, h2, p2, b, move, euclid, f):
-    """The line search that tries every length of ``_SCALES`` and the see-saw step on
-    every row, then takes the first length that raises ``F``, else the see-saw step."""
-    tries = b[:, :, None] + seesaw._SCALES[:, None] * move[:, :, None]
-    tries = np.concatenate((seesaw._unit(tries, 0.0),
+def eager_line_search(cols, cols_t, g2, h2, p2, b, move, euclid, f):
+    """The line search that tries every candidate on every row: each length of
+    ``_SCALES``, the full step followed by a see-saw step and the see-saw step. It takes
+    the first that raises ``F``, else the see-saw step."""
+    tries = seesaw._unit(b[:, :, None] + seesaw._SCALES[:, None] * move[:, :, None], 0.0)
+    uv = seesaw._targets(cols, g2, tries[:, :, 0])
+    a = uv / np.maximum(np.sqrt(seesaw._sum3(uv * uv)), seesaw._NORM_FLOOR)
+    corrected = seesaw._unit(seesaw._targets(cols_t, h2, a), tries[:, :, 0], 1e-300)
+    tries = np.concatenate((tries, corrected[:, :, None],
                             seesaw._unit(euclid, b, 1e-300)[:, :, None]), 2)
     count = tries.shape[2]
     rises = seesaw._surface(*(np.tile(x, count) for x in (cols, g2, h2, p2)),
@@ -537,15 +544,16 @@ def eager_line_search(cols, g2, h2, p2, b, move, euclid, f):
 
 
 def test_line_search_matches_eager_picks():
-    # Trying the shorter lengths only where the full step fails picks, bit for bit,
-    # what trying every length on every row picks: on random stacks with steps of
+    # Trying the other candidates only where the full step fails picks, bit for bit,
+    # what trying every candidate on every row picks: on random stacks with steps of
     # many sizes, plus rows forced to fail the full step (f at F of the full step)
     # and rows forced to fail every length (f = inf) and take the see-saw step.
     rng = np.random.default_rng(17)
     picks = []
     for n in (1, 5, 64, 300):
         r = rng.normal(size=(n, 3, 3))
-        cols, g2, h2 = r.T[:, :, None], rng.normal(size=(3, n)), rng.normal(size=(3, n))
+        cols, cols_t = r.T[:, :, None], r.T.swapaxes(0, 1)[:, :, None]
+        g2, h2 = rng.normal(size=(3, n)), rng.normal(size=(3, n))
         p2 = rng.normal(size=n)
         b = seesaw._unit(rng.normal(size=(3, 2, n)), 0.0)
         move = rng.normal(size=(3, 2, n)) * 10.0 ** rng.uniform(-4, 1, size=n)
@@ -554,12 +562,12 @@ def test_line_search_matches_eager_picks():
         full = seesaw._surface(cols, g2, h2, p2, seesaw._unit(b + move, 0.0))[0]
         forced = rng.integers(0, 4, size=n)
         f = np.where(forced == 1, full, np.where(forced == 2, np.inf, f))
-        expected, pick = eager_line_search(cols, g2, h2, p2, b, move, euclid, f)
-        assert np.array_equal(seesaw._line_search(cols, g2, h2, p2, b, move, euclid, f),
-                              expected)
+        stacks = cols, cols_t, g2, h2, p2, b, move, euclid, f
+        expected, pick = eager_line_search(*stacks)
+        assert np.array_equal(seesaw._line_search(*stacks), expected)
         picks.append(pick)
-    picks = np.concatenate(picks)
-    assert np.all(np.bincount(picks, minlength=len(seesaw._SCALES) + 1)[[0, 1, -1]] > 0)
+    counts = np.bincount(np.concatenate(picks), minlength=len(seesaw._SCALES) + 2)
+    assert np.all(counts[[0, 1, -2, -1]] > 0)
 
 
 def test_verify_rows_all_converge(monkeypatch):
@@ -579,6 +587,27 @@ def test_verify_rows_all_converge(monkeypatch):
         assert all(record.passed for record in verify.run_all_checks(seed, 8))
     rows = np.concatenate(converged)
     assert rows.size > 1000 and rows.all()
+
+
+@pytest.mark.parametrize("seed, samples", [(136, 2), (203, 6), (261, 2), (561, 4)])
+def test_near_degenerate_schmidt_rows_converge(monkeypatch, seed, samples):
+    # These verify runs hold Schmidt rows with g = h = 0 whose R has near-equal
+    # singular values (at seed 136, 0.81008292, 0.81008276, 0.81008276). There
+    # no Newton length down to 1/8 raises F, and a see-saw step gains ~1e-14
+    # against a model gain of ~2e-8, so without the see-saw step after the full
+    # Newton step such a row spent all of max_iters = 600.
+    from bellmax import verify
+
+    climb, runs = seesaw._climb, []
+
+    def recording_climb(*args):
+        runs.append(climb(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(seesaw, "_climb", recording_climb)
+    assert all(record.passed for record in verify.run_all_checks(seed, samples))
+    assert np.concatenate([run[2] for run in runs]).all()
+    assert max(run[1].max() for run in runs) < 300
 
 
 def test_constrained_newton_keeps_y_exactly_zero(monkeypatch):
