@@ -10,12 +10,12 @@ iterations every row goes on to safeguarded Riemannian Newton steps on
 that the see-saw already stopped at a stationary point keeps its see-saw
 result; every other row is stepped until the Newton step would gain at most
 ``tol``. Every row tries the full Newton step; only the rows where it does not
-raise the value try shorter lengths, then a see-saw step. A problem is one
-(state, k, config), and every (problem, restart)
-pair is one row of a single array ascent (``_climb``), whose random starts
-each seed draws in one call per chunk (``sampling.unit3_stack``). A call runs
-one problem, ``violation.best_k`` runs every k of a state in one batch, and
-each closed-vs-see-saw check of ``verify`` runs one per slice of its cases.
+raise the value try shorter steps and see-saw steps. A problem is one (state,
+k, config), and every (problem, restart) pair is one row of a single array
+ascent (``_climb``), whose random starts each seed draws in one call per chunk
+(``sampling.unit3_stack``). A call runs one problem, ``violation.best_k`` runs
+every k of a state in one batch, and each closed-vs-see-saw check of
+``verify`` runs one per slice of its cases.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ _CHUNK_ROWS = 1024
 #: See-saw iterations a row runs at most before the Newton stage of ``_climb``.
 _SEESAW_ITERS = 30
 
-#: Lengths at which a Newton step is tried, the full step first, before a see-saw step is taken.
+#: Lengths at which a Newton step is tried, the full step first (``_line_search``).
 _SCALES = 0.5 ** np.arange(4)
 
 #: Added to the Newton shift, so that the shifted Hessian is never singular.
@@ -166,9 +166,9 @@ def _line_search(cols, cols_t, g2, h2, p2, b: np.ndarray, move: np.ndarray,
     ``_SCALES``, then the full step followed by a see-saw step. Every row tries the full
     step; only the rows where it fails try the rest (backtracking; Absil, Mahony &
     Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 4). Where R's
-    singular values nearly coincide, the maximisers of ``F`` form a curved ridge that the
-    step leaves at second order, which can cost more than the step gains along the ridge;
-    the see-saw step after it returns to the ridge (a second-order correction)."""
+    singular values nearly coincide, the maximisers form a curved ridge; a step along it
+    leaves it at second order and can lose more than it gains, and the see-saw step after
+    it returns to the ridge (a second-order correction)."""
     taken = _unit(b + move, 0.0)
     f_full, uv, norms = _surface(cols, g2, h2, p2, taken)
     fails = ~(f_full > f)
@@ -196,8 +196,8 @@ def _newton(cols, cols_t, g2, h2, p2, b: np.ndarray, budget: np.ndarray, tol: fl
     A row stops once the step's gain on the shifted quadratic model, ``grad.step / 2``, is
     at most ``tol``. Any other row moves by ``_line_search``: the full step where it raises
     ``F``, else the first of the lengths 1/2, 1/4 and 1/8 that does, else the full step
-    followed by a see-saw step if that does, else one see-saw step. Per row: value, steps, converged, and ``(a1, a2, b1, b2)`` with ``a = (u/|u|,
-    v/|v|)``."""
+    followed by a see-saw step if that does, else one see-saw step. Per row: value, steps,
+    converged, and ``(a1, a2, b1, b2)`` with ``a = (u/|u|, v/|v|)``."""
     n = b.shape[-1]
     value, steps, converged = np.empty(n), np.zeros(n, int), np.zeros(n, bool)
     vectors = np.empty((3, 4, n))
