@@ -593,8 +593,8 @@ def test_verify_rows_all_converge(monkeypatch):
 def test_near_degenerate_schmidt_rows_converge(monkeypatch, seed, samples):
     # These verify runs hold Schmidt rows with g = h = 0 whose R has near-equal
     # singular values (at seed 136, 0.81008292, 0.81008276, 0.81008276). There
-    # no Newton length down to 1/8 raises F, and a see-saw step gains ~1e-14
-    # against a model gain of ~2e-8, so without the see-saw step after the full
+    # no Newton length down to 1/8 raises F, and a see-saw step gains ~3e-14
+    # against a model gain of ~3e-8, so without the see-saw step after the full
     # Newton step such a row spent all of max_iters = 600.
     from bellmax import verify
 
