@@ -64,9 +64,20 @@ def _k_spec(text: str):
         ) from None
 
 
+def _seed(text: str) -> int:
+    """``--seed`` for every subcommand: a negative seed fails at parse time, not in numpy."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_seed, default=0,
                         help="seed for all randomised work (default 0)")
     common.add_argument("--output", choices=("json", "csv"), default="json")
     common.add_argument("--no-timestamp", action="store_true",

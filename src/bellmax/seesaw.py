@@ -14,8 +14,9 @@ raise the value try shorter steps and see-saw steps. A problem is one (state,
 k, config), and every (problem, restart) pair is one row of a single array
 ascent (``_climb``), whose random starts each seed draws in one call per chunk
 (``sampling.unit3_stack``). A call runs one problem, ``violation.best_k`` runs
-every k of a state in one batch, and each closed-vs-see-saw check of
-``verify`` runs one per slice of its cases.
+the k of a state with the largest upper bound, then in one batch every other k
+whose bound reaches its value, and each closed-vs-see-saw check of ``verify``
+runs one per slice of its cases.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class SeesawConfig:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

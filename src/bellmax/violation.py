@@ -47,6 +47,10 @@ MAX_PAIR_DIM = 2048
 #: Scratch bytes per chunk of ks in ``_moments``, instead of 67 MB tables at MAX_PAIR_DIM.
 _CHUNK_BYTES = 1 << 23
 
+#: ``best_k`` skips a k whose ``_upper_bounds`` value is below the lead by more than this,
+#: far above the rounding of either side.
+PRUNE_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class CorrelationData:
@@ -217,6 +221,16 @@ def _closed_forms(problems) -> list[ViolationReport]:
                 tau.tolist(), t[:, 3, 3].tolist(), cross.tolist(), _violates(values).tolist())]
 
 
+def _upper_bounds(state: QuantumState, reports) -> np.ndarray:
+    """``U = 2 sqrt(tau1 + tau2) + 2|g| + 2|h| + 2p`` at the k of each closed-form report of
+    ``state``, its value plus ``2|g| + 2|h|``: no settings give more, as ``2 a1.g <= 2|g|``
+    and ``2 b1.h <= 2|h|`` (triangle inequality), and ``U`` is the closed form where
+    ``g = h = 0``."""
+    t = _moments([(state, rep.k) for rep in reports])
+    return np.array([rep.value for rep in reports]) + 2.0 * (
+        np.linalg.norm(t[:, :3, 3], axis=1) + np.linalg.norm(t[:, 3, :3], axis=1))
+
+
 def max_violation_closed_form(state: QuantumState, k: int) -> ViolationReport:
     """Closed-form maximal value at index ``k`` (see ``_closed_forms``)."""
     return _closed_forms([(state, k)])[0]
@@ -247,9 +261,13 @@ def best_k(state: QuantumState, cfg=None, reports=None) -> ViolationReport:
     reports are all equal, gives its ``k = 1`` report. If no index
     certifies the closed form for an odd-dimension mixed state, the best
     see-saw value (``cfg`` configures it) is returned with
-    ``formula_valid=False`` and ``method="oracle"``; one see-saw batch runs
-    every k, each row bit-equal to ``seesaw_maximize`` at its k. ``reports``
-    are the candidate closed-form reports, ``scan_k(state)`` when not given.
+    ``formula_valid=False`` and ``method="oracle"``. The see-saw is a branch
+    and bound over k: the k with the largest ``_upper_bounds`` value runs
+    first, alone, then every other k whose bound is not below its value by
+    more than ``PRUNE_MARGIN`` runs in one batch. A skipped k cannot reach
+    the lead, so the result is that of running every k, and each k that runs
+    is bit-equal to ``seesaw_maximize`` at its k. ``reports`` are the
+    candidate closed-form reports, ``scan_k(state)`` when not given.
     """
     reports = reports if reports is not None else scan_k(state)
     certified = [rep for rep in reports if rep.formula_valid]
@@ -257,8 +275,15 @@ def best_k(state: QuantumState, cfg=None, reports=None) -> ViolationReport:
         # max keeps the first of equal values, i.e. the smallest k
         return max(certified, key=lambda rep: rep.value)
     from .seesaw import _seesaw_batch
-    results = _seesaw_batch([(state, rep.k, cfg) for rep in reports])
-    return max(map(oracle_report, reports, results), key=lambda rep: rep.value)
+    bounds = _upper_bounds(state, reports)
+    first = int(np.argmax(bounds))  # the first of equal bounds, i.e. the smallest k
+    ran = {first: _seesaw_batch([(state, reports[first].k, cfg)])[0]}
+    rest = [i for i, bound in enumerate(bounds.tolist())
+            if i != first and bound >= ran[first].value - PRUNE_MARGIN]
+    if rest:
+        ran.update(zip(rest, _seesaw_batch([(state, reports[i].k, cfg) for i in rest])))
+    return max((oracle_report(reports[i], ran[i]) for i in sorted(ran)),
+               key=lambda rep: rep.value)
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,20 @@ def test_threshold_grid_json(capsys):
         assert payload["grid"][-1]["value"] == line.value_at_one
 
 
+def test_negative_seed_rejected_when_parsed(capsys, example1, uncertified):
+    # Every subcommand refuses --seed -2 at parse time, whether or not its
+    # work would draw random numbers: a certified scan-k draws none.
+    for argv in (("scan-k", "--state", example1), ("scan-k", "--state", uncertified),
+                 ("violation", "--state", uncertified, "--method", "oracle"),
+                 ("threshold", "--N", "3"), ("gamma", "--N", "3", "--axis", "x"),
+                 ("optimize", "--state", example1, "--k", "2"), ("verify", "--samples", "2")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--seed", "-2"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --seed: must be a non-negative integer, got '-2'" in captured.err
+
+
 def test_threshold_has_no_k_option(capsys):
     # Every k gives the same isotropic line, so there is nothing to choose.
     with pytest.raises(SystemExit) as exc:

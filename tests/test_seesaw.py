@@ -18,10 +18,13 @@ from bellmax.seesaw import (
 )
 from bellmax.states import DensityMatrix, IsotropicState, SchmidtState, as_density
 from bellmax.violation import (
+    _upper_bounds,
     best_k,
     correlation_data,
     max_violation_closed_form,
     optimal_settings,
+    oracle_report,
+    scan_k,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -419,29 +422,82 @@ def _assert_same_result(first, second):
         assert np.array_equal(getattr(first.settings, name), getattr(second.settings, name))
 
 
-def test_best_k_fallback_rows_equal_single_k_calls(monkeypatch):
-    # best_k runs every k of an uncertified state in one batch; each row is
-    # bit-equal to the single-k call.
-    batch = seesaw._seesaw_batch
-    rows = []
+def _record_batches(monkeypatch) -> list:
+    """Patch ``_seesaw_batch`` to append each call's ``(problems, results)`` to the list."""
+    batch, calls = seesaw._seesaw_batch, []
 
-    def recording_batch(*args):
-        rows.extend(batch(*args))
-        return rows
+    def recording_batch(problems, *args):
+        calls.append((problems, batch(problems, *args)))
+        return calls[-1][1]
 
+    monkeypatch.setattr(seesaw, "_seesaw_batch", recording_batch)
+    return calls
+
+
+def test_best_k_fallback_runs_only_ks_that_can_win(monkeypatch):
+    # best_k's fallback runs the k with the largest upper bound alone, then
+    # the other ks whose bound reaches its value, in one batch in ascending k.
+    # Each k that runs is bit-equal to the single-k call; each k that is
+    # skipped has its bound below the lead's value.
+    calls = _record_batches(monkeypatch)
     rng = np.random.default_rng(37)
     cfg = SeesawConfig(seed=4)
     for n in (3, 3, 5, 5, 7):
         state = sampling.mixed_density(rng, n)
-        rows.clear()
-        monkeypatch.setattr(seesaw, "_seesaw_batch", recording_batch)
+        calls.clear()
         fallback = best_k(state, cfg)
-        monkeypatch.setattr(seesaw, "_seesaw_batch", batch)
+        (_, (lead,)), *rest = calls
+        assert len(rest) <= 1
+        stage2 = [row.settings.k for _, rows in rest for row in rows]
+        assert stage2 == sorted(stage2)
+        ran = {row.settings.k: row for _, rows in calls for row in rows}
+        bounds = _upper_bounds(state, scan_k(state))
+        assert lead.settings.k == np.argmax(bounds) + 1
         assert fallback.method == "oracle"
-        assert [row.settings.k for row in rows] == list(range(1, n + 1))
-        assert fallback.value == max(row.value for row in rows)
-        for k, row in enumerate(rows, start=1):
+        assert fallback.value == max(row.value for row in ran.values())
+        for k, row in ran.items():
             _assert_same_result(row, seesaw_maximize(state, k, cfg))
+        for k in set(range(1, n + 1)) - set(ran):
+            assert bounds[k - 1] < lead.value
+
+
+def test_pruned_best_k_matches_all_k_reference(monkeypatch):
+    # The pruned fallback gives the report, and the see-saw result behind it,
+    # of one see-saw batch of every k, at the default tol and at 1e-13:
+    # with and without a second stage, and where the lead k does not win.
+    calls = _record_batches(monkeypatch)
+    rng = np.random.default_rng(59)
+    staged = lead_lost = cases = 0
+    for tol in (SeesawConfig.tol, 1e-13):
+        for seed in range(4):
+            for n in (3, 5, 7):
+                state = sampling.mixed_density(rng, n)
+                cfg = SeesawConfig(seed=seed, tol=tol)
+                reports = scan_k(state)
+                calls.clear()
+                pruned = best_k(state, cfg, reports)
+                everything = _seesaw_batch([(state, rep.k, cfg) for rep in reports])
+                reference = max(map(oracle_report, reports, everything), key=lambda r: r.value)
+                assert pruned == reference
+                chosen, = (row for _, rows in calls for row in rows if row.settings.k == pruned.k)
+                _assert_same_result(chosen, everything[pruned.k - 1])
+                cases += 1
+                staged += len(calls) == 2
+                lead_lost += calls[0][1][0].settings.k != pruned.k
+    assert 0 < lead_lost < staged < cases
+
+
+def test_best_k_sends_few_problems_to_the_see_saw(monkeypatch):
+    # On fixed seeded odd-N densities the bound leaves well under half of the
+    # N problems per state to the see-saw: one lead, and few others.
+    calls = _record_batches(monkeypatch)
+    rng = np.random.default_rng(61)
+    sizes = (3, 5, 7) * 6
+    for seed, n in enumerate(sizes):
+        assert best_k(sampling.mixed_density(rng, n), SeesawConfig(seed=seed)).method == "oracle"
+    sent = sum(len(problems) for problems, _ in calls)
+    assert sent == 24
+    assert sent < sum(sizes) / 2
 
 
 def test_seesaw_chunks_match_one_batch(monkeypatch):
@@ -749,6 +805,8 @@ def test_config_validation():
     for tol in (0.0, math.inf):
         with pytest.raises(ValueError, match="tol"):
             SeesawConfig(tol=tol)
+    with pytest.raises(ValueError, match="seed"):
+        SeesawConfig(seed=-1)
     assert isinstance(seesaw_maximize(EXAMPLE_STATE, 2), OracleResult)
 
 

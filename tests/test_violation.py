@@ -428,6 +428,35 @@ def test_uncertified_mixed_state_flagged():
     assert fallback.value <= 2.0 + 1e-8  # product state stays classical
 
 
+def test_upper_bounds_cap_every_k():
+    # U_k = value + 2|g| + 2|h| is at least the closed form, the see-saw and
+    # the value at random settings, at every k of Schmidt, pure, mixed (odd
+    # and even N) and isotropic states; where g = h = 0 it is the closed form.
+    rng = np.random.default_rng(53)
+    states = [sampling.schmidt_state(rng, n) for n in (3, 5)]
+    states += [draw(rng, n) for draw in (sampling.pure_density, sampling.mixed_density)
+               for n in (3, 4, 5, 7)]
+    states += [IsotropicState(n, x) for n, x in ((3, 0.3), (4, 0.0), (5, 0.7))]
+    cfg = seesaw.SeesawConfig(restarts=4, seed=9)
+    crossed = 0
+    for state in states:
+        reports = scan_k(state)
+        bounds = violation._upper_bounds(state, reports)
+        oracle = seesaw._seesaw_batch([(state, rep.k, cfg) for rep in reports])
+        for rep, bound, res in zip(reports, bounds.tolist(), oracle, strict=True):
+            corr = correlation_data(state, rep.k)
+            assert res.value <= bound + 1e-12
+            for _ in range(5):
+                settings = sampling.random_settings(rng, rep.k)
+                assert seesaw.bell_value_from_correlations(corr, settings) <= bound + 1e-12
+            if np.any(corr.g) or np.any(corr.h):
+                crossed += 1
+                assert bound > rep.value
+            else:
+                assert bound == rep.value
+    assert crossed == 3 + 5 + 7 + 3 + 5 + 7  # every k of the odd-N densities
+
+
 def test_report_dict_shape():
     rep = max_violation_closed_form(EXAMPLE_STATE, 2)
     data = rep.to_dict()
