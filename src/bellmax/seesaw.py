@@ -12,11 +12,16 @@ result; every other row is stepped until the Newton step would gain at most
 ``tol``. Every row tries the full Newton step; only the rows where it does not
 raise the value try shorter steps and see-saw steps. A problem is one (state,
 k, config), and every (problem, restart) pair is one row of a single array
-ascent (``_climb``), whose random starts each seed draws in one call per chunk
-(``sampling.unit3_stack``). A call runs one problem, ``violation.best_k`` runs
-the k of a state with the largest upper bound, then in one batch every other k
-whose bound reaches its value, and each closed-vs-see-saw check of ``verify``
-runs one per slice of its cases.
+ascent (``_climb``), whose random starts each problem draws from its own generator
+in one call per chunk (``sampling.unit3_stack``). A call runs one problem,
+``violation.best_k`` runs the k of a state with the largest upper bound, then in
+one batch every other k whose bound reaches its value, and each
+closed-vs-see-saw check of ``verify`` runs one per slice of its cases.
+
+A row sees its state only through the moments ``T`` of ``violation._moments``, as one
+moment stack ``m`` ``(4, 4, rows)``: ``m[:3, :3] = R``, ``m[:3, 3] = 2g``, ``m[3, :3] =
+2h``, ``m[3, 3] = 2p``. Swapping the parties transposes ``m``: ``_targets(m, a)`` gives
+the b-step targets, ``_targets(m.swapaxes(0, 1), b)`` the a-step targets.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ _NORM_FLOOR = 1e-150
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
 _SIGN_PAIRS = (_SIGNS * _SIGNS.T)[..., None]
 _DIAG = (np.arange(4), np.arange(4))
+#: Factors from the moments ``T`` to the moment stack: 1 on ``R``, 2 on ``g``, ``h``, ``p``.
+_DOUBLED = np.pad(np.ones((3, 3)), (0, 1), constant_values=2.0)[..., None]
 
 
 @dataclass(frozen=True)
@@ -64,8 +71,8 @@ class SeesawConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not 1 <= self.max_iters <= np.iinfo(np.int64).max:
+            raise ValueError(f"max_iters must be in 1..2**63-1, got {self.max_iters}")
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.seed < 0:
@@ -89,11 +96,14 @@ def bell_value(state: QuantumState, settings: BellSettings) -> float:
     return float(complex(np.einsum("rc,cr->", rho.rho, operator)).real)
 
 
-def _targets(cols: np.ndarray, shift, other: np.ndarray) -> np.ndarray:
-    """``(M (o1 + o2) + shift, M (o1 - o2))`` for the other party's pair ``(o1, o2)``, with
-    components on the leading axis and rows on the last: ``cols[c, i, 0] = M[i, c]``."""
-    target = _sum3(cols * (other[:, :1] + [[1.0], [-1.0]] * other[:, 1:])[:, None])
-    target[:, 0] += shift
+def _targets(m: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The b-step targets ``(R^T(o1 + o2) + 2h, R^T(o1 - o2))`` for the other party's pairs
+    ``(o1, o2)``, ``(3, 2, rows)``; on ``m.swapaxes(0, 1)``, the a-step targets ``(R(o1 + o2)
+    + 2g, R(o1 - o2))``."""
+    pairs = (other[:, :1] + [[1.0], [-1.0]] * other[:, 1:])[:, None]
+    # C order: the default follows the strides of m.swapaxes(0, 1) and slows what follows.
+    target = _sum3(np.multiply(m[:3, :3, None], pairs, order="C"))
+    target[:, 0] += m[3, :3]
     return target
 
 
@@ -114,31 +124,31 @@ def _tangents(b: np.ndarray):
             np.array((xy, sign + y * y * scale, -y)))
 
 
-def _value(b_targets: np.ndarray, a: np.ndarray, b: np.ndarray, g2, p2) -> np.ndarray:
+def _value(m: np.ndarray, b_targets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a1.R(b1+b2) + a2.R(b1-b2) + 2 a1.g + 2 b1.h + 2p``, as ``b1.t1 + b2.t2 + 2 a1.g
     + 2p`` with the b-step targets ``(t1, t2) = (R^T(a1+a2) + 2h, R^T(a1-a2))``."""
     dots = _sum3(b * b_targets)
-    return dots[0] + dots[1] + _sum3(a[:, 0] * g2) + p2
+    return dots[0] + dots[1] + _sum3(a[:, 0] * m[:3, 3]) + m[3, 3]
 
 
 def bell_value_from_correlations(corr: CorrelationData, settings: BellSettings) -> float:
     """Same expectation from the 3x3 correlation data (``_value``); it
     agrees with the direct trace to rounding, which the test suite asserts."""
+    m = np.block([[corr.r, corr.g[:, None]], [corr.h, corr.p]])[..., None] * _DOUBLED
     v = np.array([settings.a1, settings.a2, settings.b1, settings.b2]).T[..., None]
-    b_targets = _targets(corr.r[..., None, None], 2.0 * corr.h[:, None], v[:, :2])
-    return float(_value(b_targets, v[:, :2], v[:, 2:], 2.0 * corr.g[:, None], 2.0 * corr.p)[0])
+    return float(_value(m, _targets(m, v[:, :2]), v[:, :2], v[:, 2:])[0])
 
 
-def _surface(cols, g2, h2, p2, b: np.ndarray):
+def _surface(m: np.ndarray, b: np.ndarray):
     """The value at the best ``a`` for the pairs ``b = (b1, b2)``, ``(3, 2, n)``:
     ``F(b1, b2) = |u| + |v| + 2 b1.h + 2p`` with ``(u, v) = (R(b1+b2) + 2g, R(b1-b2))``,
     which ``a = (u/|u|, v/|v|)`` attains. Returns ``F``, ``(u, v)`` and ``(|u|, |v|)``."""
-    uv = _targets(cols, g2, b)
+    uv = _targets(m.swapaxes(0, 1), b)
     norms = np.sqrt(_sum3(uv * uv))
-    return norms[0] + norms[1] + _sum3(b[:, 0] * h2) + p2, uv, norms
+    return norms[0] + norms[1] + _sum3(b[:, 0] * m[3, :3]) + m[3, 3], uv, norms
 
 
-def _newton_parts(cols, cols_t, g2, h2, p2, b: np.ndarray):
+def _newton_parts(m: np.ndarray, b: np.ndarray):
     """``F`` and ``(u, v)`` (``_surface``) with the Riemannian gradient and Hessian of ``F``
     on the product of the two spheres, in the tangent basis ``basis`` ``(3, 4, n)``: two unit
     vectors orthogonal to ``b1``, then two orthogonal to ``b2``. With ``W = R basis`` and
@@ -147,12 +157,12 @@ def _newton_parts(cols, cols_t, g2, h2, p2, b: np.ndarray):
     on each sphere's block (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
     Manifolds, 2008, ch. 5-6). Also returns the Euclidean gradient ``(R^T(u^+v^) + 2h,
     R^T(u^-v^))``, which is the target of the see-saw's b-step from ``a = (u^, v^)``."""
-    f, uv, norms = _surface(cols, g2, h2, p2, b)
+    f, uv, norms = _surface(m, b)
     norms = np.maximum(norms, _NORM_FLOOR)
     unit = uv / norms
-    euclid = _targets(cols_t, h2, unit)
+    euclid = _targets(m, unit)
     basis = np.stack(_tangents(b), 2).reshape(3, 4, -1)
-    w = _sum3(cols * basis[:, None])
+    w = _sum3(np.multiply(m.swapaxes(0, 1)[:3, :3, None], basis[:, None], order="C"))
     wu, wv = _sum3(w * unit[:, :1]), _sum3(w * unit[:, 1:]) * _SIGNS
     grad = _sum3(basis * np.repeat(euclid, 2, axis=1))
     ww = _sum3(w[:, :, None] * w[:, None])
@@ -161,8 +171,7 @@ def _newton_parts(cols, cols_t, g2, h2, p2, b: np.ndarray):
     return f, uv, grad, hess, basis, euclid
 
 
-def _line_search(cols, cols_t, g2, h2, p2, b: np.ndarray, move: np.ndarray,
-                 euclid: np.ndarray, f):
+def _line_search(m: np.ndarray, b: np.ndarray, move: np.ndarray, euclid: np.ndarray, f):
     """The next pairs from ``b`` along the Newton steps ``move``, both ``(3, 2, n)``: the
     first candidate that raises ``F`` above ``f``, else the see-saw step ``unit(euclid)``.
     The candidates are ``b + s move`` back on the spheres at each length ``s`` of
@@ -173,24 +182,23 @@ def _line_search(cols, cols_t, g2, h2, p2, b: np.ndarray, move: np.ndarray,
     leaves it at second order and can lose more than it gains, and the see-saw step after
     it returns to the ridge (a second-order correction)."""
     taken = _unit(b + move, 0.0)
-    f_full, uv, norms = _surface(cols, g2, h2, p2, taken)
+    f_full, uv, norms = _surface(m, taken)
     fails = ~(f_full > f)
     if not np.count_nonzero(fails):
         return taken
-    cols, cols_t, g2, h2, p2, b, move, euclid, f, full, uv, norms = (
-        x[..., fails] for x in (cols, cols_t, g2, h2, p2, b, move, euclid, f, taken, uv, norms))
+    m, b, move, euclid, f, full, uv, norms = (
+        x[..., fails] for x in (m, b, move, euclid, f, taken, uv, norms))
     tries = _unit(b[:, :, None] + _SCALES[1:, None] * move[:, :, None], 0.0)
-    corrected = _unit(_targets(cols_t, h2, uv / np.maximum(norms, _NORM_FLOOR)), full, 1e-300)
+    corrected = _unit(_targets(m, uv / np.maximum(norms, _NORM_FLOOR)), full, 1e-300)
     tries = np.concatenate((tries, corrected[:, :, None], _unit(euclid, b, 1e-300)[:, :, None]), 2)
     count = tries.shape[2]
-    rises = _surface(*(np.tile(x, count) for x in (cols, g2, h2, p2)),
-                     tries.reshape(3, 2, -1))[0].reshape(count, -1) > f
+    rises = _surface(np.tile(m, count), tries.reshape(3, 2, -1))[0].reshape(count, -1) > f
     pick = np.where(rises[:-1].any(0), rises[:-1].argmax(0), count - 1)
     taken[..., fails] = tries[:, :, pick, np.arange(len(pick))]
     return taken
 
 
-def _newton(cols, cols_t, g2, h2, p2, b: np.ndarray, budget: np.ndarray, tol: float):
+def _newton(m: np.ndarray, b: np.ndarray, budget: np.ndarray, tol: float):
     """Safeguarded Riemannian Newton ascent of ``F`` (``_newton_parts``) from the pairs ``b``,
     ``(3, 2, n)``, for at most ``budget`` ``(n,)`` steps per row. The reduced Hessian is
     shifted by twice its largest eigenvalue, if positive, plus the reduced gradient norm,
@@ -206,7 +214,7 @@ def _newton(cols, cols_t, g2, h2, p2, b: np.ndarray, budget: np.ndarray, tol: fl
     vectors = np.empty((3, 4, n))
     rows = np.arange(n)
     for step in range(int(budget.max(initial=0)) + 1):
-        f, uv, grad, hess, basis, euclid = _newton_parts(cols, cols_t, g2, h2, p2, b)
+        f, uv, grad, hess, basis, euclid = _newton_parts(m, b)
         top = np.linalg.eigvalsh(hess.transpose(2, 0, 1))[:, -1]
         hess[_DIAG] -= 2.0 * np.maximum(top, 0.0) + np.sqrt(_sum4(grad * grad)) + _SHIFT_FLOOR
         direction = np.linalg.solve(hess.transpose(2, 0, 1), -grad.T[..., None])[..., 0].T
@@ -219,40 +227,37 @@ def _newton(cols, cols_t, g2, h2, p2, b: np.ndarray, budget: np.ndarray, tol: fl
             if done.all():
                 break
             keep = ~done
-            cols, cols_t, g2, h2, p2, b, budget, rows, f, basis, euclid, direction = (
-                x[..., keep] for x in (cols, cols_t, g2, h2, p2, b, budget, rows, f, basis,
-                                       euclid, direction))
+            m, b, budget, rows, f, basis, euclid, direction = (
+                x[..., keep] for x in (m, b, budget, rows, f, basis, euclid, direction))
         move = (basis * direction).reshape(3, 2, 2, -1)
-        b = _line_search(cols, cols_t, g2, h2, p2, b, move[:, :, 0] + move[:, :, 1], euclid, f)
+        b = _line_search(m, b, move[:, :, 0] + move[:, :, 1], euclid, f)
     return value, steps, converged, vectors
 
 
-def _climb(cols, cols_t, g2, h2, p2, starts: np.ndarray, cfg: SeesawConfig):
-    """Ascend each row of ``starts = (a1, a2, b1, b2)``, ``(3, 4, n)``, against its ``R``
-    (``cols[c, i, 0] = R[i, c]``, ``cols_t`` for ``R^T``), ``2g``, ``2h`` ``(3, n)``, ``2p``
-    ``(n,)``. Every row first runs up to ``_SEESAW_ITERS`` see-saw iterations, in which a
-    target of norm < 1e-300 keeps the old vector and a row stops once an iteration moves its
-    value by at most ``cfg.tol``. Every row then goes to ``_newton`` for the rest of its
-    ``cfg.max_iters``: a row that stopped at a stationary point keeps its see-saw result,
-    and any other row takes Newton steps until it converges or its budget is spent. A row
-    with no budget left gets only the stop test, which sets ``converged``.
+def _climb(m: np.ndarray, starts: np.ndarray, cfg: SeesawConfig):
+    """Ascend each row of ``starts = (a1, a2, b1, b2)``, ``(3, 4, n)``, against its moment
+    stack, ``m`` ``(4, 4, n)``. Every row first runs up to ``_SEESAW_ITERS`` see-saw
+    iterations, in which a target of norm < 1e-300 keeps the old vector and a row stops once
+    an iteration moves its value by at most ``cfg.tol``. Every row then goes to ``_newton``
+    for the rest of its ``cfg.max_iters``: a row that stopped at a stationary point keeps its
+    see-saw result, and any other row takes Newton steps until it converges or its budget is
+    spent. A row with no budget left gets only the stop test, which sets ``converged``.
     Per row: value, iterations, converged, vectors."""
     a, b = starts[:, :2], starts[:, 2:]
-    value = _value(_targets(cols_t, h2, a), a, b, g2, p2)
+    value = _value(m, _targets(m, a), a, b)
     used, running = np.zeros(value.shape, int), np.ones(value.shape, bool)
     for _ in range(min(cfg.max_iters, _SEESAW_ITERS)):
-        a = np.where(running, _unit(_targets(cols, g2, b), a, 1e-300), a)
-        b_targets = _targets(cols_t, h2, a)
+        a = np.where(running, _unit(_targets(m.swapaxes(0, 1), b), a, 1e-300), a)
+        b_targets = _targets(m, a)
         b = np.where(running, _unit(b_targets, b, 1e-300), b)
-        updated = _value(b_targets, a, b, g2, p2)  # a frozen row keeps its bits
+        updated = _value(m, b_targets, a, b)  # a frozen row keeps its bits
         used += running
         running &= ~(np.abs(updated - value) <= cfg.tol)
         value = updated
         if not np.count_nonzero(running):
             break
     vectors = np.concatenate((a, b), 1)
-    polished, steps, converged, newton_vectors = _newton(
-        cols, cols_t, g2, h2, p2, b, cfg.max_iters - used, cfg.tol)
+    polished, steps, converged, newton_vectors = _newton(m, b, cfg.max_iters - used, cfg.tol)
     moved = steps > 0
     return (np.where(moved, polished, value), used + steps, converged,
             np.where(moved, newton_vectors, vectors))
@@ -266,26 +271,22 @@ def _seesaw_batch(problems, constrain_y: bool = False) -> list[OracleResult]:
     cfg = cfgs[0]
     if len({(c.restarts, c.max_iters, c.tol) for c in cfgs}) > 1:
         raise ValueError("the configs of one see-saw batch may differ only in seed")
-    t = _moments(problems)
-    r, g, h = (np.array(block) for block in (t[:, :3, :3], t[:, :3, 3], t[:, 3, :3]))
+    m = _moments(problems).transpose(1, 2, 0) * _DOUBLED
     if constrain_y:
-        r[:, 1, :] = r[:, :, 1] = g[:, 1] = h[:, 1] = 0.0
-    stacks = r.T[:, :, None], r.T.swapaxes(0, 1)[:, :, None], 2.0 * g.T, 2.0 * h.T, 2.0 * t[:, 3, 3]
-    seeds = list(dict.fromkeys(c.seed for c in cfgs))
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    which = [seeds.index(c.seed) for c in cfgs]
+        m[1] = m[:, 1] = 0.0
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
     step = max(1, _CHUNK_ROWS // len(problems))
     records = [[] for _ in problems]  # runs that beat all earlier runs, within cfg.tol of the best
     for first in range(0, cfg.restarts, step):
-        # Problems with one seed share their starts, drawn in restart order just before their chunk.
+        # Each problem draws from its own generator, in restart order, just before its chunk.
         count = min(step, cfg.restarts - first)
         drawn = [unit3_stack(rng, 4 * count) for rng in rngs]
-        starts = np.reshape(drawn, (len(rngs), count, 4, 3))[which].transpose(3, 2, 0, 1)
+        starts = np.reshape(drawn, (len(rngs), count, 4, 3)).transpose(3, 2, 0, 1)
         if constrain_y:
             starts[1] = 0.0
             starts = _unit(starts, _AXIS_FALLBACKS.T[..., None, None])
         rows = np.repeat(np.arange(len(problems)), count)  # problem-major, as starts
-        runs = _climb(*(x[..., rows] for x in stacks), starts.reshape(3, 4, -1), cfg)
+        runs = _climb(m[..., rows], starts.reshape(3, 4, -1), cfg)
         for row, run in zip(rows, zip(*(x.tolist() for x in runs[:3]), runs[3].T)):
             if not records[row] or run[0] > records[row][-1][0]:
                 records[row] = [old for old in records[row] if old[0] >= run[0] - cfg.tol] + [run]

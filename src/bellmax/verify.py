@@ -34,7 +34,7 @@ from .states import (
     schmidt_to_density,
 )
 from .violation import _closed_forms, correlation_data
-# Unused here; kept because the traced bench wraps them (ROADMAP direction 1).
+# Unused here; kept because the traced bench wraps them (ROADMAP direction 2).
 from .linalg import hermitian_eig, tensor  # noqa: F401
 from .violation import max_violation_closed_form  # noqa: F401
 

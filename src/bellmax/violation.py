@@ -27,7 +27,7 @@ import numpy as np
 from .linalg import sym3_eig
 from .operators import BellSettings, _entries
 from .states import DensityMatrix, DomainError, IsotropicState, QuantumState, SchmidtState
-# Unused here; kept because the traced bench wraps them (ROADMAP direction 1).
+# Unused here; kept because the traced bench wraps them (ROADMAP direction 2).
 from .operators import make_gamma_set  # noqa: F401
 from .states import as_density  # noqa: F401
 
@@ -156,17 +156,13 @@ def _spectra(problems):
     return t, np.maximum(values[:, :2], 0.0), vectors
 
 
-def _correlation_row(k: int, t, tau, vectors) -> CorrelationData:
-    """``CorrelationData`` at ``k`` from its row of ``_spectra``, with read-only copies."""
+def correlation_data(state: QuantumState, k: int) -> CorrelationData:
+    """Exact ``R``, ``g``, ``h``, ``p`` and ``R^T R`` eigenpairs for (state, k), read-only."""
+    t, tau, vectors = (a[0] for a in _spectra([(state, k)]))
     r, g, h = (block.copy() for block in (t[:3, :3], t[:3, 3], t[3, :3]))
     for block in (r, g, h, vectors):
         block.setflags(write=False)
     return CorrelationData(k, r, g, h, float(t[3, 3]), *tau.tolist(), vectors)
-
-
-def correlation_data(state: QuantumState, k: int) -> CorrelationData:
-    """Exact ``R``, ``g``, ``h``, ``p`` and ``R^T R`` eigenpairs for (state, k)."""
-    return _correlation_row(k, *(a[0] for a in _spectra([(state, k)])))
 
 
 def _violates(value):

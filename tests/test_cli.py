@@ -202,6 +202,17 @@ def test_negative_seed_rejected_when_parsed(capsys, example1, uncertified):
         assert "argument --seed: must be a non-negative integer, got '-2'" in captured.err
 
 
+def test_max_iters_beyond_int64_rejected(capsys, example1):
+    # A budget past int64 is bad input (exit 2), not an internal overflow (exit 5);
+    # the largest int64 is still a budget.
+    code, out, err = run_cli(capsys, "optimize", "--state", example1, "--k", "2",
+                             "--max-iters", str(2**63))
+    assert code == 2 and out == "" and "max_iters" in err
+    payload = run_json(capsys, "optimize", "--state", example1, "--k", "2",
+                       "--max-iters", str(2**63 - 1))
+    assert payload["converged"]
+
+
 def test_threshold_has_no_k_option(capsys):
     # Every k gives the same isotropic line, so there is nothing to choose.
     with pytest.raises(SystemExit) as exc:

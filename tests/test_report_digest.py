@@ -1,0 +1,22 @@
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+sys.path.insert(0, str(TOOLS))
+
+import report_digest  # noqa: E402
+
+
+def test_digests_do_not_depend_on_the_working_directory(tmp_path):
+    # Inputs go under a relative state dir, so the manifests name no temporary
+    # path: two runs in different directories hash the same report bytes, and
+    # each run removes the inputs it wrote.
+    runs = []
+    for sub in ("first", "second"):
+        (tmp_path / sub).mkdir()
+        runs.append(report_digest.digests(["density-oracle"], 1, [1], 1, str(tmp_path / sub)))
+        assert not any((tmp_path / sub / report_digest.STATE_DIR).iterdir())
+    assert runs[0] == runs[1]
+    assert set(runs[0]) == {"density-oracle", "verify-seeds"}
+    other = report_digest.digests(["density-oracle"], 1, [7], 0, str(tmp_path / "first"))
+    assert other["density-oracle"] != runs[0]["density-oracle"]

@@ -249,7 +249,7 @@ def test_seesaw_ascent_monotone(monkeypatch):
         for row, stop in enumerate(seesaw_used):
             assert np.all(values[stop:, row] == values[stop, row])
         (args, (polished, steps, newton_converged, _)), = newton_runs
-        assert np.array_equal(args[6], cfg.max_iters - seesaw_used)  # each row's budget
+        assert np.array_equal(args[2], cfg.max_iters - seesaw_used)  # each row's budget
         assert np.array_equal(used, seesaw_used + steps)
         assert np.array_equal(converged, newton_converged)
         assert np.array_equal(final, np.where(steps > 0, polished, values[-1]))
@@ -261,7 +261,7 @@ def test_seesaw_ascent_monotone(monkeypatch):
                 return parts(*row_args)
 
             monkeypatch.setattr(seesaw, "_newton_parts", recording_parts)
-            alone = newton(*(x[..., [row]] for x in args[:7]), args[7])
+            alone = newton(*(x[..., [row]] for x in args[:3]), args[3])
             monkeypatch.setattr(seesaw, "_newton_parts", parts)
             assert (alone[0][0], alone[1][0]) == (polished[row], steps[row])
             assert len(path) == steps[row] + 1 and path[-1] == polished[row]
@@ -582,18 +582,68 @@ def test_newton_stack_matches_each_row(monkeypatch):
             assert np.array_equal(first[..., [row]], second)
 
 
-def eager_line_search(cols, cols_t, g2, h2, p2, b, move, euclid, f):
+def test_moment_stack_matches_3x3_algebra(monkeypatch):
+    # The moment stack of random moments T against plain 3x3 algebra with @: the
+    # b-step targets, the a-step targets of the transposed stack, F, and the stack
+    # that _seesaw_batch ascends with constrain_y, whose y row and column are zero.
+    rng = np.random.default_rng(59)
+    n = 50
+    t = rng.normal(size=(n, 4, 4))
+    r, g, h, p = t[:, :3, :3], t[:, :3, 3], t[:, 3, :3], t[:, 3, 3]
+    m = t.transpose(1, 2, 0) * seesaw._DOUBLED
+    a, b = (seesaw._unit(rng.normal(size=(3, 2, n)), 0.0) for _ in range(2))
+    (a1, a2), (b1, b2) = a.transpose(1, 2, 0), b.transpose(1, 2, 0)  # each (n, 3)
+
+    def times(matrix, v):
+        return (matrix @ v[..., None])[..., 0]
+
+    def close(actual, expected):
+        np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
+
+    rt = r.swapaxes(1, 2)
+    t1, t2 = seesaw._targets(m, a).transpose(1, 2, 0)
+    close(t1, times(rt, a1 + a2) + 2.0 * h)
+    close(t2, times(rt, a1 - a2))
+    u, v = seesaw._targets(m.swapaxes(0, 1), b).transpose(1, 2, 0)
+    close(u, times(r, b1 + b2) + 2.0 * g)
+    close(v, times(r, b1 - b2))
+    close(seesaw._surface(m, b)[0], np.linalg.norm(u, axis=1) + np.linalg.norm(v, axis=1)
+          + 2.0 * np.vecdot(b1, h) + 2.0 * p)
+
+    climbed = []
+
+    def first_ascent(stack, *args):
+        climbed.append(stack)
+        raise RuntimeError("first ascent")
+
+    monkeypatch.setattr(seesaw, "_climb", first_ascent)
+    state = sampling.mixed_density(rng, 5)
+    cfg = SeesawConfig(restarts=2)
+    with pytest.raises(RuntimeError, match="first ascent"):
+        _seesaw_batch([(state, k, cfg) for k in range(1, 6)], constrain_y=True)
+    (stack,) = climbed
+    for row in range(stack.shape[-1]):
+        corr = correlation_data(state, 1 + row // cfg.restarts)
+        r, g, h = corr.r.copy(), corr.g.copy(), corr.h.copy()
+        r[1, :] = r[:, 1] = g[1] = h[1] = 0.0
+        assert np.array_equal(stack[:3, :3, row], r)
+        assert np.array_equal(stack[:3, 3, row], 2.0 * g)
+        assert np.array_equal(stack[3, :3, row], 2.0 * h)
+        assert stack[3, 3, row] == 2.0 * corr.p
+
+
+def eager_line_search(m, b, move, euclid, f):
     """The line search that tries every candidate on every row: each length of
     ``_SCALES``, the full step followed by a see-saw step and the see-saw step. It takes
     the first that raises ``F``, else the see-saw step."""
     tries = seesaw._unit(b[:, :, None] + seesaw._SCALES[:, None] * move[:, :, None], 0.0)
-    uv = seesaw._targets(cols, g2, tries[:, :, 0])
+    uv = seesaw._targets(m.swapaxes(0, 1), tries[:, :, 0])
     a = uv / np.maximum(np.sqrt(seesaw._sum3(uv * uv)), seesaw._NORM_FLOOR)
-    corrected = seesaw._unit(seesaw._targets(cols_t, h2, a), tries[:, :, 0], 1e-300)
+    corrected = seesaw._unit(seesaw._targets(m, a), tries[:, :, 0], 1e-300)
     tries = np.concatenate((tries, corrected[:, :, None],
                             seesaw._unit(euclid, b, 1e-300)[:, :, None]), 2)
     count = tries.shape[2]
-    rises = seesaw._surface(*(np.tile(x, count) for x in (cols, g2, h2, p2)),
+    rises = seesaw._surface(np.tile(m, count),
                             tries.reshape(3, 2, -1))[0].reshape(count, -1) > f
     pick = np.where(rises[:-1].any(0), rises[:-1].argmax(0), count - 1)
     return tries[:, :, pick, np.arange(len(pick))], pick
@@ -607,18 +657,18 @@ def test_line_search_matches_eager_picks():
     rng = np.random.default_rng(17)
     picks = []
     for n in (1, 5, 64, 300):
-        r = rng.normal(size=(n, 3, 3))
-        cols, cols_t = r.T[:, :, None], r.T.swapaxes(0, 1)[:, :, None]
-        g2, h2 = rng.normal(size=(3, n)), rng.normal(size=(3, n))
-        p2 = rng.normal(size=n)
+        m = np.empty((4, 4, n))  # the moment stack: R, 2g, 2h, 2p
+        m[:3, :3] = rng.normal(size=(n, 3, 3)).transpose(1, 2, 0)
+        m[:3, 3], m[3, :3] = rng.normal(size=(3, n)), rng.normal(size=(3, n))
+        m[3, 3] = rng.normal(size=n)
         b = seesaw._unit(rng.normal(size=(3, 2, n)), 0.0)
         move = rng.normal(size=(3, 2, n)) * 10.0 ** rng.uniform(-4, 1, size=n)
         euclid = rng.normal(size=(3, 2, n))
-        f = seesaw._surface(cols, g2, h2, p2, b)[0]
-        full = seesaw._surface(cols, g2, h2, p2, seesaw._unit(b + move, 0.0))[0]
+        f = seesaw._surface(m, b)[0]
+        full = seesaw._surface(m, seesaw._unit(b + move, 0.0))[0]
         forced = rng.integers(0, 4, size=n)
         f = np.where(forced == 1, full, np.where(forced == 2, np.inf, f))
-        stacks = cols, cols_t, g2, h2, p2, b, move, euclid, f
+        stacks = m, b, move, euclid, f
         expected, pick = eager_line_search(*stacks)
         assert np.array_equal(seesaw._line_search(*stacks), expected)
         picks.append(pick)
@@ -672,9 +722,9 @@ def test_constrained_newton_keeps_y_exactly_zero(monkeypatch):
     # y axis, and the zero couplings survive the solve.
     parts, points = seesaw._newton_parts, []
 
-    def recording_parts(cols, cols_t, g2, h2, p2, b):
+    def recording_parts(m, b):
         points.append(b)
-        return parts(cols, cols_t, g2, h2, p2, b)
+        return parts(m, b)
 
     monkeypatch.setattr(seesaw, "_SEESAW_ITERS", 2)
     monkeypatch.setattr(seesaw, "_newton_parts", recording_parts)
@@ -807,6 +857,9 @@ def test_config_validation():
             SeesawConfig(tol=tol)
     with pytest.raises(ValueError, match="seed"):
         SeesawConfig(seed=-1)
+    with pytest.raises(ValueError, match="max_iters"):
+        SeesawConfig(max_iters=2**63)
+    assert SeesawConfig(max_iters=2**63 - 1).max_iters == 2**63 - 1
     assert isinstance(seesaw_maximize(EXAMPLE_STATE, 2), OracleResult)
 
 
