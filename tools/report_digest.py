@@ -15,7 +15,6 @@ It imports ``bellmax`` from ``PYTHONPATH`` and reads, but never writes, ``bench`
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import os
 import sys
@@ -28,6 +27,9 @@ import workloads  # noqa: E402
 from child import run_job  # noqa: E402
 
 STATE_DIR = "states"
+BLOCKS = 4
+SEEDS = (1, 7)
+VERIFY_SEEDS = 60
 
 
 def job_lists(names, blocks: int, seeds, verify_seeds: int) -> dict[str, list]:
@@ -63,18 +65,9 @@ def digests(names, blocks: int, seeds, verify_seeds: int, work_dir: str) -> dict
     return result
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
-                        help="digest only this workload (repeatable); default: all")
-    parser.add_argument("--blocks", type=int, default=4)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
-    parser.add_argument("--verify-seeds", type=int, default=60,
-                        help="also digest verify --seed 0..N-1; 0 skips it")
-    args = parser.parse_args(argv)
-    names = args.workload or list(workloads.WORKLOADS)
+def main() -> int:
     with tempfile.TemporaryDirectory() as work_dir:
-        found = digests(names, args.blocks, args.seeds, args.verify_seeds, work_dir)
+        found = digests(list(workloads.WORKLOADS), BLOCKS, SEEDS, VERIFY_SEEDS, work_dir)
     for name, digest in found.items():
         print(f"{name} {digest}")
     return 0
