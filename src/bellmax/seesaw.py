@@ -15,8 +15,8 @@ k, config), and every (problem, restart) pair is one row of a single array
 ascent (``_climb``), whose random starts each problem draws from its own generator
 in one call per chunk (``sampling.unit3_stack``). A call runs one problem,
 ``violation.best_k`` runs the k of a state with the largest upper bound, then in
-one batch every other k whose bound reaches its value, and each
-closed-vs-see-saw check of ``verify`` runs one per slice of its cases.
+one batch every other k whose bound reaches its value, and ``verify`` one per slice
+of the chained cases of its closed-vs-see-saw checks, with ``constrain_y`` per problem.
 
 A row sees its state only through the moments ``T`` of ``violation._moments``, as one
 moment stack ``m`` ``(4, 4, rows)``: ``m[:3, :3] = R``, ``m[:3, 3] = 2g``, ``m[3, :3] =
@@ -263,17 +263,18 @@ def _climb(m: np.ndarray, starts: np.ndarray, cfg: SeesawConfig):
             np.where(moved, newton_vectors, vectors))
 
 
-def _seesaw_batch(problems, constrain_y: bool = False) -> list[OracleResult]:
+def _seesaw_batch(problems, constrain_y=False) -> list[OracleResult]:
     """``seesaw_maximize`` for every ``(state, k, cfg)`` in ``problems``, whose configs may
-    differ only in ``seed``: one ``_moments`` call for every problem, then one ascent of
-    every (problem, restart) row, in restart chunks of at most ``_CHUNK_ROWS`` rows."""
+    differ only in ``seed``, and ``constrain_y`` (a bool, or one per problem): one ``_moments``
+    call, then one ascent of every (problem, restart) row, chunks of at most ``_CHUNK_ROWS``."""
     cfgs = [cfg if cfg is not None else SeesawConfig() for _, _, cfg in problems]
     cfg = cfgs[0]
     if len({(c.restarts, c.max_iters, c.tol) for c in cfgs}) > 1:
         raise ValueError("the configs of one see-saw batch may differ only in seed")
     m = _moments(problems).transpose(1, 2, 0) * _DOUBLED
-    if constrain_y:
-        m[1] = m[:, 1] = 0.0
+    flags = np.full(len(problems), constrain_y)
+    if constrained := flags.any():
+        m[1, :, flags] = m[:, 1, flags] = 0.0
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     step = max(1, _CHUNK_ROWS // len(problems))
     records = [[] for _ in problems]  # runs that beat all earlier runs, within cfg.tol of the best
@@ -282,9 +283,9 @@ def _seesaw_batch(problems, constrain_y: bool = False) -> list[OracleResult]:
         count = min(step, cfg.restarts - first)
         drawn = [unit3_stack(rng, 4 * count) for rng in rngs]
         starts = np.reshape(drawn, (len(rngs), count, 4, 3)).transpose(3, 2, 0, 1)
-        if constrain_y:
-            starts[1] = 0.0
-            starts = _unit(starts, _AXIS_FALLBACKS.T[..., None, None])
+        if constrained:
+            starts[1, :, flags] = 0.0
+            starts[:, :, flags] = _unit(starts[:, :, flags], _AXIS_FALLBACKS.T[..., None, None])
         rows = np.repeat(np.arange(len(problems)), count)  # problem-major, as starts
         runs = _climb(m[..., rows], starts.reshape(3, 4, -1), cfg)
         for row, run in zip(rows, zip(*(x.tolist() for x in runs[:3]), runs[3].T)):

@@ -10,6 +10,7 @@ identical records, which the golden tests rely on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from .violation import max_violation_closed_form  # noqa: F401
 
 _TSIRELSON = 2.0 * math.sqrt(2.0)
 
-_SLICE = 256  # problems per batch of a check, each drawn lazily: memory is flat in samples
+_SLICE = 256  # problems per lazily drawn batch, shared by the closed-vs-see-saw checks
 
 
 @dataclass(frozen=True)
@@ -89,17 +90,31 @@ def _state_count(samples: int) -> int:
     return max(6, samples // 4)
 
 
-def _closed_vs_seesaw(rng, cases, constrain_y: bool = False):
-    """Closed-form vs see-saw gaps, in case order. ``cases`` yields each state before its
-    seed is drawn; each ``_SLICE`` of cases runs as one closed-form batch and one see-saw
-    batch, each row bit-equal to the one-problem call on its own case."""
-    problems = ((state, k, SeesawConfig(restarts=4, max_iters=600, tol=1e-11,
-                                        seed=int(rng.integers(0, 2**32))))
-                for state, k in cases)
+def _closed_vs_seesaw(checks, samples: int):
+    """Closed-form vs see-saw gaps of the chained cases of ``checks``, ``(_SeesawCheck, rng)``
+    pairs, as ``(check index, gap)``. Each ``_SLICE`` of the chain runs as one closed-form and
+    one see-saw batch, whichever checks it spans, each row bit-equal to the one-problem call
+    on its case; each rng draws a case's seed after its state, so chaining changes no draw."""
+    cfg = functools.partial(SeesawConfig, restarts=4, max_iters=600, tol=1e-11)
+    problems = ((owner, check.constrain_y, (state, k, cfg(seed=int(rng.integers(0, 2**32)))))
+                for owner, (check, rng) in enumerate(checks)
+                for state, k in check.cases(rng, samples))
     while batch := list(itertools.islice(problems, _SLICE)):
-        for rep, oracle in zip(_closed_forms(batch), _seesaw_batch(batch, constrain_y)):
-            yield abs(rep.value - oracle.value)
-        del batch  # before the next slice is drawn
+        owners, flags, cases = zip(*batch)
+        for owner, rep, oracle in zip(owners, _closed_forms(cases), _seesaw_batch(cases, flags)):
+            yield owner, abs(rep.value - oracle.value)
+        del batch, cases  # before the next slice is drawn
+
+
+@dataclass(frozen=True)
+class _SeesawCheck:
+    """The closed-vs-see-saw check of the (state, k) ``cases(rng, samples)``, as a decorator of
+    ``cases``. Alone it yields its gaps; ``run_all_checks`` chains the cases of all of them."""
+    cases: object
+    constrain_y: bool = False
+
+    def __call__(self, rng, samples: int):
+        return (gap for _, gap in _closed_vs_seesaw([(self, rng)], samples))
 
 
 def _schmidt_states(rng, samples: int):
@@ -107,15 +122,16 @@ def _schmidt_states(rng, samples: int):
         yield sampling.schmidt_state(rng, (3, 5)[idx % 2])
 
 
+@_SeesawCheck
 def check_closed_vs_seesaw_even(rng, samples: int):
     draw = (sampling.pure_density, sampling.mixed_density)
-    cases = ((draw[idx % 2](rng, (2, 4, 6)[idx % 3]), 1) for idx in range(_state_count(samples)))
-    return _closed_vs_seesaw(rng, cases)
+    return ((draw[idx % 2](rng, (2, 4, 6)[idx % 3]), 1) for idx in range(_state_count(samples)))
 
 
+@_SeesawCheck
 def check_closed_vs_seesaw_schmidt(rng, samples: int):
     states = _schmidt_states(rng, samples)
-    return _closed_vs_seesaw(rng, ((state, k) for state in states for k in range(1, state.dim + 1)))
+    return ((state, k) for state in states for k in range(1, state.dim + 1))
 
 
 def check_product_ceiling(rng, samples: int):
@@ -136,9 +152,9 @@ def check_isotropic_monotone(rng, samples: int):
             yield later.value - earlier.value
 
 
+@functools.partial(_SeesawCheck, constrain_y=True)
 def check_gisin_constrained(rng, samples: int):
-    cases = ((state, state.dim) for state in _schmidt_states(rng, samples))
-    return _closed_vs_seesaw(rng, cases, constrain_y=True)
+    return ((state, state.dim) for state in _schmidt_states(rng, samples))
 
 
 def check_bell_value_identity(rng, samples: int):
@@ -157,14 +173,10 @@ def check_seesaw_determinism(rng, samples: int) -> CheckResult:
     cfg = SeesawConfig(restarts=6, max_iters=300, tol=1e-11, seed=20240917)
     first = seesaw_maximize(state, 2, cfg)
     second = seesaw_maximize(state, 2, cfg)
-    identical = (
-        first.value == second.value
-        and first.iterations_used == second.iterations_used
-        and all(
-            np.array_equal(getattr(first.settings, name), getattr(second.settings, name))
-            for name in ("a1", "a2", "b1", "b2")
-        )
-    )
+    pairs = ((first, second, ("value", "iterations_used", "restarts_used", "converged")),
+             (first.settings, second.settings, ("a1", "a2", "b1", "b2")))
+    identical = all(np.array_equal(getattr(x, name), getattr(y, name))
+                    for x, y, names in pairs for name in names)
     return CheckResult(
         "seesaw-determinism",
         bool(identical),
@@ -218,9 +230,18 @@ def _run(name: str, check, bound, suffix: str, rng, samples: int) -> CheckResult
 
 
 def run_all_checks(seed: int, samples: int = 100) -> list[CheckResult]:
-    """Run every suite with independent child seeds derived from ``seed``."""
+    """Run every suite with independent child seeds derived from ``seed``; the
+    closed-vs-see-saw checks take their gaps in turn from one chain of their cases."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     children = np.random.SeedSequence(seed).spawn(len(_CHECKS))
-    return [_run(*entry, np.random.default_rng(child), samples)
-            for entry, child in zip(_CHECKS, children)]
+    rngs = [np.random.default_rng(child) for child in children]
+    chained = _closed_vs_seesaw([(check, rng) for (_, check, *_), rng in zip(_CHECKS, rngs)
+                                 if isinstance(check, _SeesawCheck)], samples)
+    groups = itertools.groupby(chained, lambda pair: pair[0])
+
+    def next_gaps(rng, samples):  # the gaps of the next chained check, which drew them
+        return (gap for _, gap in next(groups)[1])
+
+    return [_run(name, next_gaps if isinstance(check, _SeesawCheck) else check, bound, suffix,
+                 rng, samples) for (name, check, bound, suffix), rng in zip(_CHECKS, rngs)]

@@ -391,6 +391,70 @@ def test_verify_slices_keep_every_deviation(monkeypatch, name):
     assert len(whole) > 1
 
 
+@pytest.mark.parametrize("slice_size", [1, 7, 256])
+def test_verify_chains_the_closed_vs_seesaw_checks(monkeypatch, slice_size):
+    # run_all_checks chains the cases of the three closed-vs-see-saw checks and runs
+    # each slice of the chain, also one that spans checks, as one closed-form and one
+    # see-saw batch; every record equals that of the checks run one by one.
+    from bellmax import verify
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(problems, *args):
+            if len(problems[0]) == 3:  # a (state, k, cfg) problem of the chained checks
+                calls.append((name, len(problems)))
+            return fn(problems, *args)
+        return wrapper
+
+    monkeypatch.setattr(verify, "_SLICE", slice_size)
+    for name in ("_closed_forms", "_seesaw_batch"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    for samples in (2, 8, 25):
+        calls.clear()
+        children = np.random.SeedSequence(5).spawn(len(verify._CHECKS))
+        alone = [verify._run(*entry, np.random.default_rng(child), samples)
+                 for entry, child in zip(verify._CHECKS, children)]
+        total = sum(size for name, size in calls if name == "_seesaw_batch")
+        calls.clear()
+        assert verify.run_all_checks(5, samples) == alone
+        sizes = [slice_size] * (total // slice_size) + [total % slice_size] * bool(
+            total % slice_size)
+        assert calls == [(name, size) for size in sizes
+                         for name in ("_closed_forms", "_seesaw_batch")]
+        if slice_size == 256:
+            assert len(calls) == 2  # every chained problem in one slice
+
+
+@pytest.mark.parametrize("field, flip", [
+    ("converged", lambda value: not value),
+    ("restarts_used", lambda value: value + 1),
+])
+def test_verify_seesaw_determinism_compares_every_field(monkeypatch, field, flip):
+    # The check reports a bit-identical repeat only when every field of the two
+    # runs agrees: one that differs in converged or restarts_used alone fails it.
+    from dataclasses import replace
+
+    from bellmax import verify
+
+    rng = np.random.default_rng(0)
+    record = verify.check_seesaw_determinism(rng, 2)
+    assert record == verify.CheckResult("seesaw-determinism", True, "bit-identical repeat")
+    original, runs = verify.seesaw_maximize, []
+
+    def flipping_second(*args, **kw):
+        result = original(*args, **kw)
+        if runs:
+            result = replace(result, **{field: flip(getattr(result, field))})
+        runs.append(result)
+        return result
+
+    monkeypatch.setattr(verify, "seesaw_maximize", flipping_second)
+    record = verify.check_seesaw_determinism(np.random.default_rng(0), 2)
+    assert len(runs) == 2
+    assert record == verify.CheckResult("seesaw-determinism", False, "repeat run diverged")
+
+
 @pytest.mark.parametrize("target, check", [
     ("_closed_forms", "product-state-ceiling"),  # the closed-form batch the check calls
     ("_seesaw_batch", "closed-vs-seesaw-even"),  # the see-saw batch the check calls

@@ -542,13 +542,27 @@ def test_heterogeneous_batch_rows_equal_single_problem_calls(monkeypatch):
         for k in sorted({1, n, int(rng.integers(1, n + 1))}):
             seed = idx % 3 if idx % 2 else 100 + len(problems)
             problems.append((state, k, SeesawConfig(restarts=7, seed=seed)))
+    # Mixed flags: constrained and free problems alternate, and an odd-N mixed density,
+    # whose R has a nonzero y column and whose h_y is nonzero, comes twice with the same
+    # seed, once with each flag. A constrained row's settings have y parts exactly 0,
+    # which a y row zeroed without its column would not give.
+    twin = 3  # the mixed density of idx 1, N = 3, at k = 2
+    mixed = problems[:twin + 1] + problems[twin:]
+    flags = [pos % 2 == 1 for pos in range(len(mixed))]
+    t = seesaw._moments(mixed[twin:twin + 1])[0]
+    assert min(abs(t[0, 1]), abs(t[2, 1]), abs(t[3, 1])) > 1e-3
     monkeypatch.setattr(seesaw, "_CHUNK_ROWS", 5)
-    for switch, constrain_y in itertools.product((3, seesaw._SEESAW_ITERS), (False, True)):
+    runs = ((problems, False), (problems, True), (mixed, flags))
+    for switch, (batch_problems, constrain_y) in itertools.product((3, seesaw._SEESAW_ITERS), runs):
         monkeypatch.setattr(seesaw, "_SEESAW_ITERS", switch)  # 3: most rows take Newton steps
-        batch = _seesaw_batch(problems, constrain_y)
-        for (state, k, cfg), row in zip(problems, batch, strict=True):
+        batch = _seesaw_batch(batch_problems, constrain_y)
+        row_flags = np.broadcast_to(constrain_y, len(batch_problems)).tolist()
+        for (state, k, cfg), flag, row in zip(batch_problems, row_flags, batch, strict=True):
             assert (row.settings.k, row.restarts_used) == (k, cfg.restarts)
-            _assert_same_result(row, seesaw_maximize(state, k, cfg, constrain_y=constrain_y))
+            _assert_same_result(row, seesaw_maximize(state, k, cfg, constrain_y=flag))
+            if flag:
+                assert all(getattr(row.settings, name)[1] == 0.0
+                           for name in ("a1", "a2", "b1", "b2"))
     with pytest.raises(ValueError, match="differ only in seed"):
         _seesaw_batch([(EXAMPLE_STATE, 2, SeesawConfig(restarts=4)),
                        (EXAMPLE_STATE, 2, SeesawConfig(restarts=5))])
@@ -809,8 +823,8 @@ def test_verify_batches_match_per_problem_calls(monkeypatch):
     from bellmax import verify
 
     def per_problem(problems, constrain_y=False):
-        return [seesaw_maximize(state, k, cfg, constrain_y=constrain_y)
-                for state, k, cfg in problems]
+        return [seesaw_maximize(state, k, cfg, constrain_y=flag)
+                for (state, k, cfg), flag in zip(problems, constrain_y, strict=True)]
 
     def recording(oracle, results):
         def run(problems, constrain_y=False):

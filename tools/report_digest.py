@@ -1,11 +1,13 @@
 """Digest the report bytes of fixed CLI jobs, one sha256 per workload.
 
 Runs ``bellmax.cli.main`` in this process over blocks 0-3 under seeds 1 and 7
-of every workload in ``bench/workloads.py``, plus ``verify --seed 0..59``, and
-hashes each job's argv, exit code, stdout and stderr in job order. The inputs
-are written under the relative directory ``states`` of a temporary working
-directory, so the manifests name no temporary path and two trees that give
-the same report bytes give the same digests. Run it once per tree and compare:
+of every workload in ``bench/workloads.py``, plus ``verify --seed 0..59`` and
+``verify --seed 0 --samples 400``, whose 256-problem slices span the
+closed-vs-see-saw checks, and hashes each job's argv, exit code, stdout and
+stderr in job order. The inputs are written under the relative directory
+``states`` of a temporary working directory, so the manifests name no
+temporary path and two trees that give the same report bytes give the same
+digests. Run it once per tree and compare:
 
     PYTHONPATH=src python3 tools/report_digest.py
     PYTHONPATH=/path/to/other/checkout/src python3 tools/report_digest.py
@@ -30,9 +32,12 @@ STATE_DIR = "states"
 BLOCKS = 4
 SEEDS = (1, 7)
 VERIFY_SEEDS = 60
+#: One verify job whose slices of closed-vs-see-saw problems span checks (about 1.2 s).
+SLICED_VERIFY = ("verify", "--seed", "0", "--samples", "400", "--no-timestamp")
 
 
-def job_lists(names, blocks: int, seeds, verify_seeds: int) -> dict[str, list]:
+def job_lists(names, blocks: int, seeds, verify_seeds: int,
+              sliced_verify: bool = False) -> dict[str, list]:
     """The jobs of each digest, by name, in the order they run."""
     lists = {name: [job for seed in seeds for block in range(blocks)
                     for job in workloads.block_jobs(name, seed, block, STATE_DIR)]
@@ -40,10 +45,13 @@ def job_lists(names, blocks: int, seeds, verify_seeds: int) -> dict[str, list]:
     if verify_seeds:
         lists["verify-seeds"] = [workloads.Job(("verify", "--seed", str(seed), "--no-timestamp"),
                                                "verify", {}) for seed in range(verify_seeds)]
+    if sliced_verify:
+        lists["verify-sliced"] = [workloads.Job(SLICED_VERIFY, "verify", {})]
     return lists
 
 
-def digests(names, blocks: int, seeds, verify_seeds: int, work_dir: str) -> dict[str, str]:
+def digests(names, blocks: int, seeds, verify_seeds: int, work_dir: str,
+            sliced_verify: bool = False) -> dict[str, str]:
     """sha256 of every job list of ``job_lists``, its inputs written under ``work_dir``."""
     from bellmax import cli
 
@@ -52,7 +60,7 @@ def digests(names, blocks: int, seeds, verify_seeds: int, work_dir: str) -> dict
     os.chdir(work_dir)
     try:
         os.makedirs(STATE_DIR, exist_ok=True)
-        for name, jobs in job_lists(names, blocks, seeds, verify_seeds).items():
+        for name, jobs in job_lists(names, blocks, seeds, verify_seeds, sliced_verify).items():
             digest = hashlib.sha256()
             for job in jobs:
                 workloads.write_inputs([job])
@@ -67,7 +75,8 @@ def digests(names, blocks: int, seeds, verify_seeds: int, work_dir: str) -> dict
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as work_dir:
-        found = digests(list(workloads.WORKLOADS), BLOCKS, SEEDS, VERIFY_SEEDS, work_dir)
+        found = digests(list(workloads.WORKLOADS), BLOCKS, SEEDS, VERIFY_SEEDS, work_dir,
+                        sliced_verify=True)
     for name, digest in found.items():
         print(f"{name} {digest}")
     return 0
