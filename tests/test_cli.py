@@ -418,8 +418,7 @@ def test_verify_chains_the_closed_vs_seesaw_checks(monkeypatch, slice_size):
         total = sum(size for name, size in calls if name == "_seesaw_batch")
         calls.clear()
         assert verify.run_all_checks(5, samples) == alone
-        sizes = [slice_size] * (total // slice_size) + [total % slice_size] * bool(
-            total % slice_size)
+        sizes = [min(slice_size, total - first) for first in range(0, total, slice_size)]
         assert calls == [(name, size) for size in sizes
                          for name in ("_closed_forms", "_seesaw_batch")]
         if slice_size == 256:
@@ -437,8 +436,7 @@ def test_verify_seesaw_determinism_compares_every_field(monkeypatch, field, flip
 
     from bellmax import verify
 
-    rng = np.random.default_rng(0)
-    record = verify.check_seesaw_determinism(rng, 2)
+    record = verify.check_seesaw_determinism(np.random.default_rng(0), 2)
     assert record == verify.CheckResult("seesaw-determinism", True, "bit-identical repeat")
     original, runs = verify.seesaw_maximize, []
 
