@@ -29,9 +29,9 @@ class NonHermitianError(ValueError):
     """Input matrix fails the Hermitian symmetry test."""
 
 
-def _as_matrix(m, name: str) -> np.ndarray:
+def _as_matrix(m, name: str, stack: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stack and a.ndim > 2):
         raise ValueError(f"{name} must be a 2-d matrix, got {a.ndim} axes")
     if a.size and not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -57,20 +57,21 @@ def tensor(a, b) -> np.ndarray:
 
 
 def _hermitian(m) -> np.ndarray:
-    """Validated square, finite, Hermitian input, symmetrised exactly."""
-    a = _as_matrix(m, "matrix")
-    if a.shape[0] != a.shape[1]:
+    """Validated square, finite, Hermitian input or stack ``(..., n, n)``, symmetrised exactly."""
+    a = _as_matrix(m, "matrix", stack=True)
+    if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    ah = a.conj().swapaxes(-1, -2)
+    asym = float(np.max(np.abs(a - ah))) if a.size else 0.0
     if asym > HERMITIAN_ATOL:
         raise NonHermitianError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {HERMITIAN_ATOL:.1e}"
         )
-    return 0.5 * a + 0.5 * a.conj().T  # halve first: the sum may overflow
+    return 0.5 * a + 0.5 * ah  # halve first: the sum may overflow
 
 
 def hermitian_eig(m):
-    """Eigen-decomposition of a Hermitian matrix.
+    """Eigen-decomposition of a Hermitian matrix, or of each of a stack.
 
     Returns ``(values, vectors)`` with real eigenvalues in ascending order
     and the matching orthonormal eigenvectors as columns of a unitary.
@@ -79,7 +80,7 @@ def hermitian_eig(m):
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix."""
+    """Ascending real eigenvalues of a Hermitian matrix, or of each of a stack ``(..., n, n)``."""
     return np.linalg.eigvalsh(_hermitian(m))
 
 

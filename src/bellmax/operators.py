@@ -80,6 +80,21 @@ def _entries(dim: int, ks) -> tuple[np.ndarray, ...]:
     return order.take(first, axis=1), order.take(second, axis=1), c, products
 
 
+def _gamma_stack(dim: int, ks) -> np.ndarray:
+    """``make_gamma_set``'s ``(gx, gy, gz, pi)`` for every k of ``ks``, ``(4, K, dim, dim)``."""
+    if dim < 2:
+        raise ValueError(f"dimension must be at least 2, got {dim}")
+    if dim * dim > linalg.MAX_TENSOR_DIM:
+        raise ValueError(
+            f"N={dim} gives {dim * dim}x{dim * dim} Bell operators, "
+            f"cap is {linalg.MAX_TENSOR_DIM}"
+        )
+    rows, cols, c, _ = _entries(dim, ks)  # checks k
+    ops = np.zeros((4, len(rows), dim, dim), dtype=complex)
+    ops[:, np.arange(len(rows))[:, None], rows, cols] = c[:, None]
+    return ops
+
+
 def make_gamma_set(dim: int, k: int = 1) -> GammaSet:
     """Build the block-Pauli triple and corner projector for ``(dim, k)``.
 
@@ -89,17 +104,7 @@ def make_gamma_set(dim: int, k: int = 1) -> GammaSet:
     pairs (1,2) and (4,5). Raises ``ValueError`` before allocating when
     the two-party dimension ``dim^2`` exceeds ``linalg.MAX_TENSOR_DIM``.
     """
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
-    if dim * dim > linalg.MAX_TENSOR_DIM:
-        raise ValueError(
-            f"N={dim} gives {dim * dim}x{dim * dim} Bell operators, "
-            f"cap is {linalg.MAX_TENSOR_DIM}"
-        )
-    rows, cols, c, _ = _entries(dim, [k])  # checks k
-    ops = np.zeros((4, dim, dim), dtype=complex)
-    ops[:, rows[0], cols[0]] = c
-    gx, gy, gz, pi = ops
+    gx, gy, gz, pi = _gamma_stack(dim, [k])[:, 0]
     return GammaSet(dim=dim, k=k, gx=_frozen(gx), gy=_frozen(gy),
                     gz=_frozen(gz), pi=_frozen(pi))
 
@@ -115,6 +120,11 @@ def _unit_vector(vec, name: str) -> np.ndarray:
     return v
 
 
+def _observables(ops, d):
+    """``d_x gx + d_y gy + d_z gz + pi`` for ``ops = (gx, gy, gz, pi)``, ``d = (d_x, d_y, d_z)``."""
+    return d[0] * ops[0] + d[1] * ops[1] + d[2] * ops[2] + ops[3]
+
+
 def observable(gamma: GammaSet, direction) -> np.ndarray:
     """Dichotomic observable for a unit direction vector.
 
@@ -122,7 +132,7 @@ def observable(gamma: GammaSet, direction) -> np.ndarray:
     spectrum is contained in {-1, +1}.
     """
     d = _unit_vector(direction, "measurement direction")
-    return d[0] * gamma.gx + d[1] * gamma.gy + d[2] * gamma.gz + gamma.pi
+    return _observables((gamma.gx, gamma.gy, gamma.gz, gamma.pi), d)
 
 
 @dataclass(frozen=True)
@@ -143,6 +153,19 @@ class BellSettings:
             raise ValueError(f"k must be a positive index, got {self.k}")
 
 
+def _bell_operators(ops: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """The four-term operators, ``(K, n^2, n^2)``, for ``ops = _gamma_stack(n, ks)`` and the
+    directions ``(a1, a2, b1, b2)`` ``(K, 4, 3)``; a row gets the bits of ``bell_operator``."""
+    obs = _observables(ops[:, None], directions.T[..., None, None])  # (4, K, n, n)
+    (a1, a2), (b1, b2) = obs[:2, :, :, None, :, None], obs[2:, :, None, :, None]
+    n = ops.shape[-1]
+
+    def kron(a, b):  # np.kron: party A on the coarse index
+        return (a * b).reshape(len(a), n * n, n * n)
+
+    return kron(a1, b1) + kron(a1, b2) + kron(a2, b1) - kron(a2, b2)
+
+
 def bell_operator(gamma: GammaSet, settings: BellSettings) -> np.ndarray:
     """Four-term CHSH-style operator ``A1 B1 + A1 B2 + A2 B1 - A2 B2``.
 
@@ -153,13 +176,5 @@ def bell_operator(gamma: GammaSet, settings: BellSettings) -> np.ndarray:
         raise ValueError(
             f"settings use k={settings.k} but the operators were built with k={gamma.k}"
         )
-    a1 = observable(gamma, settings.a1)
-    a2 = observable(gamma, settings.a2)
-    b1 = observable(gamma, settings.b1)
-    b2 = observable(gamma, settings.b2)
-    return (
-        linalg.tensor(a1, b1)
-        + linalg.tensor(a1, b2)
-        + linalg.tensor(a2, b1)
-        - linalg.tensor(a2, b2)
-    )
+    return _bell_operators(np.stack((gamma.gx, gamma.gy, gamma.gz, gamma.pi))[:, None],
+                           np.stack((settings.a1, settings.a2, settings.b1, settings.b2))[None])[0]

@@ -1,11 +1,11 @@
 """Self-verification suites behind the ``verify`` CLI subcommand.
 
 Each check re-derives one of the package invariants on seeded random
-inputs. A bounded check yields one deviation per comparison, and one
-runner judges them all: it keeps the worst with ``np.max``, which
-unlike ``max`` keeps a NaN, so a NaN deviation fails its check. The
-suites are deterministic: the same seed and sample count always produce
-identical records, which the golden tests rely on.
+inputs, in stacks and batches that keep every bit. A bounded check yields
+one deviation per comparison, and one runner judges them all: it keeps the
+worst with ``np.max``, which unlike ``max`` keeps a NaN, so a NaN
+deviation fails its check. The suites are deterministic: the same seed and
+sample count always produce identical records, which the golden tests rely on.
 """
 
 from __future__ import annotations
@@ -17,16 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sampling
+from . import sampling, seesaw
 from .linalg import hermitian_eigenvalues
-from .operators import make_gamma_set, observable
+from .operators import _bell_operators, _gamma_stack, make_gamma_set, observable
 from .seesaw import (
     SeesawConfig,
     _seesaw_batch,
     bell_value,
     bell_value_from_correlations,
     seesaw_maximize,
-    spectral_max,
 )
 from .states import (
     IsotropicState,
@@ -37,6 +36,7 @@ from .states import (
 from .violation import _closed_forms, correlation_data
 # Unused here; kept because the traced bench wraps them (ROADMAP direction 2).
 from .linalg import hermitian_eig, tensor  # noqa: F401
+from .seesaw import spectral_max  # noqa: F401
 from .violation import max_violation_closed_form  # noqa: F401
 
 _TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -69,20 +69,26 @@ def check_observable_involution(rng, samples: int):
 
 
 def check_bell_norm_ceiling(rng, samples: int):
-    for _ in range(samples):
+    def draw():  # a sample's draws together, so no deviation depends on _SLICE
         n = int(rng.integers(2, 6))
         k = int(rng.integers(1, n + 1))
-        gamma = make_gamma_set(n, k)
-        top = spectral_max(gamma, sampling.random_settings(rng, k))
-        yield top - _TSIRELSON
+        return n, k, sampling.unit3_stack(rng, 4)
+
+    draws = (draw() for _ in range(samples))
+    while batch := list(itertools.islice(draws, _SLICE)):
+        ns, ks, directions = (np.array(x) for x in zip(*batch))
+        tops = np.empty(len(batch))
+        for n in set(ns.tolist()):  # one stack of Bell operators per N, dropped at once
+            rows = np.flatnonzero(ns == n)
+            tops[rows] = hermitian_eigenvalues(_bell_operators(
+                _gamma_stack(n, ks[rows]), directions[rows]))[:, -1]
+        yield from tops - _TSIRELSON
 
 
 def check_pauli_commutator(rng, samples: int):
     for n in range(2, 10):
-        for k in range(1, n + 1):
-            gamma = make_gamma_set(n, k)
-            gap = gamma.gx @ gamma.gy - gamma.gy @ gamma.gx - 2.0j * gamma.gz
-            yield float(np.max(np.abs(gap)))
+        gx, gy, gz, _ = _gamma_stack(n, range(1, n + 1))
+        yield from np.max(np.abs(gx @ gy - gy @ gx - 2.0j * gz), axis=(1, 2))
 
 
 def _state_count(samples: int) -> int:
@@ -90,20 +96,26 @@ def _state_count(samples: int) -> int:
     return max(6, samples // 4)
 
 
-def _closed_vs_seesaw(checks, samples: int):
-    """Closed-form vs see-saw gaps of the chained cases of ``checks``, ``(_SeesawCheck, rng)``
-    pairs, as ``(check index, gap)``. Each ``_SLICE`` of the chain runs as one closed-form and
-    one see-saw batch, whichever checks it spans, each row bit-equal to the one-problem call
-    on its case; each rng draws a case's seed after its state, so chaining changes no draw."""
+def _problems(checks, samples: int):
+    """The problems ``(check index, constrain_y, (state, k, cfg))`` of the chained ``checks``,
+    ``(_SeesawCheck, rng)`` pairs; each rng draws a case's seed after its state."""
     cfg = functools.partial(SeesawConfig, restarts=4, max_iters=600, tol=1e-11)
-    problems = ((owner, check.constrain_y, (state, k, cfg(seed=int(rng.integers(0, 2**32)))))
-                for owner, (check, rng) in enumerate(checks)
-                for state, k in check.cases(rng, samples))
+    return ((owner, check.constrain_y, (state, k, cfg(seed=int(rng.integers(0, 2**32)))))
+            for owner, (check, rng) in enumerate(checks)
+            for state, k in check.cases(rng, samples))
+
+
+def _closed_vs_seesaw(checks, samples: int):
+    """Closed-form vs see-saw gaps of the ``_problems`` of ``checks``, as ``(check index, gap,
+    (case, constrain_y, see-saw row))``. Each ``_SLICE`` of the chain, whichever checks it
+    spans, is one closed-form and one see-saw batch, a row bit-equal to a one-problem call."""
+    problems = _problems(checks, samples)
     while batch := list(itertools.islice(problems, _SLICE)):
         owners, flags, cases = zip(*batch)
-        for owner, rep, oracle in zip(owners, _closed_forms(cases), _seesaw_batch(cases, flags)):
-            yield owner, abs(rep.value - oracle.value)
-        del batch, cases  # before the next slice is drawn
+        for owner, flag, case, rep, oracle in zip(owners, flags, cases, _closed_forms(cases),
+                                                  _seesaw_batch(cases, flags)):
+            yield owner, abs(rep.value - oracle.value), (case, flag, oracle)
+        del batch, cases, case  # before the next slice is drawn
 
 
 @dataclass(frozen=True)
@@ -114,7 +126,7 @@ class _SeesawCheck:
     constrain_y: bool = False
 
     def __call__(self, rng, samples: int):
-        return (gap for _, gap in _closed_vs_seesaw([(self, rng)], samples))
+        return (gap for _, gap, _ in _closed_vs_seesaw([(self, rng)], samples))
 
 
 def _schmidt_states(rng, samples: int):
@@ -168,13 +180,17 @@ def check_bell_value_identity(rng, samples: int):
         yield abs(direct - reduced)
 
 
-def check_seesaw_determinism(rng, samples: int) -> CheckResult:
-    state = sampling.pure_density(rng, 3)
-    cfg = SeesawConfig(restarts=6, max_iters=300, tol=1e-11, seed=20240917)
-    first = seesaw_maximize(state, 2, cfg)
-    second = seesaw_maximize(state, 2, cfg)
-    pairs = ((first, second, ("value", "iterations_used", "restarts_used", "converged")),
-             (first.settings, second.settings, ("a1", "a2", "b1", "b2")))
+def check_seesaw_determinism(rng, samples: int, first=None) -> CheckResult:
+    """Re-run a chained problem ``first = (case, constrain_y, batch row)`` alone, and compare
+    every field and setting bit for bit: a repeat and batch invariance at once. Alone, the
+    check draws closed-vs-see-saw-even's first problem and runs a one-problem batch."""
+    if first is None:
+        _, flag, case = next(_problems([(check_closed_vs_seesaw_even, rng)], samples))
+        first = case, flag, seesaw._seesaw_batch([case], flag)[0]  # verify's runs the chain
+    case, flag, row = first
+    again = seesaw_maximize(*case, constrain_y=flag)
+    pairs = ((row, again, ("value", "iterations_used", "restarts_used", "converged")),
+             (row.settings, again.settings, ("a1", "a2", "b1", "b2")))
     identical = all(np.array_equal(getattr(x, name), getattr(y, name))
                     for x, y, names in pairs for name in names)
     return CheckResult(
@@ -231,17 +247,21 @@ def _run(name: str, check, bound, suffix: str, rng, samples: int) -> CheckResult
 
 def run_all_checks(seed: int, samples: int = 100) -> list[CheckResult]:
     """Run every suite with independent child seeds derived from ``seed``; the
-    closed-vs-see-saw checks take their gaps in turn from one chain of their cases."""
+    closed-vs-see-saw checks take their gaps in turn from one chain of their cases,
+    and seesaw-determinism repeats the chain's first problem."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     children = np.random.SeedSequence(seed).spawn(len(_CHECKS))
     rngs = [np.random.default_rng(child) for child in children]
-    chained = _closed_vs_seesaw([(check, rng) for (_, check, *_), rng in zip(_CHECKS, rngs)
-                                 if isinstance(check, _SeesawCheck)], samples)
-    groups = itertools.groupby(chained, lambda pair: pair[0])
+    rows = _closed_vs_seesaw([(check, rng) for (_, check, *_), rng in zip(_CHECKS, rngs)
+                              if isinstance(check, _SeesawCheck)], samples)
+    head = next(rows, (None, None, None))  # the first chained problem and its row, if any
+    groups = itertools.groupby(itertools.chain([head], rows), lambda row: row[0])
+    repeat = {check_seesaw_determinism: functools.partial(check_seesaw_determinism, first=head[2])}
 
     def next_gaps(rng, samples):  # the gaps of the next chained check, which drew them
-        return (gap for _, gap in next(groups)[1])
+        return (gap for _, gap, _ in next(groups)[1])
 
-    return [_run(name, next_gaps if isinstance(check, _SeesawCheck) else check, bound, suffix,
-                 rng, samples) for (name, check, bound, suffix), rng in zip(_CHECKS, rngs)]
+    return [_run(name, next_gaps if isinstance(check, _SeesawCheck) else repeat.get(check, check),
+                 bound, suffix, rng, samples)
+            for (name, check, bound, suffix), rng in zip(_CHECKS, rngs)]

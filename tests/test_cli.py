@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -430,8 +431,9 @@ def test_verify_chains_the_closed_vs_seesaw_checks(monkeypatch, slice_size):
     ("restarts_used", lambda value: value + 1),
 ])
 def test_verify_seesaw_determinism_compares_every_field(monkeypatch, field, flip):
-    # The check reports a bit-identical repeat only when every field of the two
-    # runs agrees: one that differs in converged or restarts_used alone fails it.
+    # The check reports a bit-identical repeat only when every field of the repeat
+    # and of the batch row agrees: one that differs in converged or restarts_used
+    # alone fails it. The repeat is the check's one seesaw_maximize call.
     from dataclasses import replace
 
     from bellmax import verify
@@ -440,17 +442,137 @@ def test_verify_seesaw_determinism_compares_every_field(monkeypatch, field, flip
     assert record == verify.CheckResult("seesaw-determinism", True, "bit-identical repeat")
     original, runs = verify.seesaw_maximize, []
 
-    def flipping_second(*args, **kw):
+    def flipping(*args, **kw):
         result = original(*args, **kw)
-        if runs:
-            result = replace(result, **{field: flip(getattr(result, field))})
+        result = replace(result, **{field: flip(getattr(result, field))})
         runs.append(result)
         return result
 
-    monkeypatch.setattr(verify, "seesaw_maximize", flipping_second)
+    monkeypatch.setattr(verify, "seesaw_maximize", flipping)
     record = verify.check_seesaw_determinism(np.random.default_rng(0), 2)
-    assert len(runs) == 2
+    assert len(runs) == 1
     assert record == verify.CheckResult("seesaw-determinism", False, "repeat run diverged")
+
+
+def _flip_last_bit(settings):
+    a1 = settings.a1.copy()
+    a1.view(np.int64)[0] ^= 1
+    return replace(settings, a1=a1)
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda row: replace(row, iterations_used=row.iterations_used + 1),
+    lambda row: replace(row, settings=_flip_last_bit(row.settings)),
+], ids=["iterations_used", "settings-bit"])
+def test_verify_seesaw_determinism_sees_a_perturbed_chained_row(monkeypatch, perturb):
+    # run_all_checks repeats the first problem of the first chained slice and compares
+    # it with that problem's batch row: a row off by one iteration or one bit of one
+    # setting fails seesaw-determinism, and no other record moves.
+    from bellmax import verify
+
+    clean = verify.run_all_checks(3, 4)
+    original, calls = verify._seesaw_batch, []
+
+    def perturbing_first(problems, *args):
+        rows = original(problems, *args)
+        if not calls:
+            rows[0] = perturb(rows[0])
+        calls.append(len(problems))
+        return rows
+
+    monkeypatch.setattr(verify, "_seesaw_batch", perturbing_first)
+    records = verify.run_all_checks(3, 4)
+    index = [record.name for record in records].index("seesaw-determinism")
+    assert clean[index] == verify.CheckResult("seesaw-determinism", True, "bit-identical repeat")
+    assert records[index] == verify.CheckResult(
+        "seesaw-determinism", False, "repeat run diverged")
+    assert records[:index] + records[index + 1:] == clean[:index] + clean[index + 1:]
+
+
+@pytest.mark.parametrize("samples", [2, 25])
+def test_verify_repeats_one_single_problem_seesaw_call(monkeypatch, samples):
+    # Outside the chained batches, run_all_checks runs the see-saw once, on one
+    # problem, whatever --samples is.
+    from bellmax import verify
+
+    sizes, repeats = [], []
+    batch, maximize = seesaw._seesaw_batch, verify.seesaw_maximize
+
+    def counted_batch(problems, *args):
+        sizes.append(len(problems))
+        return batch(problems, *args)
+
+    def counted_maximize(*args, **kw):
+        repeats.append(args)
+        return maximize(*args, **kw)
+
+    monkeypatch.setattr(seesaw, "_seesaw_batch", counted_batch)
+    monkeypatch.setattr(verify, "seesaw_maximize", counted_maximize)
+    assert all(record.passed for record in verify.run_all_checks(11, samples))
+    assert sizes == [1]
+    assert len(repeats) == 1
+
+
+def _bell_norm_ceiling_per_sample(rng, samples):
+    # The one-sample reference: a gamma set and spectral_max per sample.
+    from bellmax import sampling
+    from bellmax.operators import make_gamma_set
+    from bellmax.seesaw import spectral_max
+
+    for _ in range(samples):
+        n = int(rng.integers(2, 6))
+        k = int(rng.integers(1, n + 1))
+        top = spectral_max(make_gamma_set(n, k), sampling.random_settings(rng, k))
+        yield top - 2.0 * math.sqrt(2.0)
+
+
+def _pauli_commutator_per_sample(rng, samples):
+    from bellmax.operators import make_gamma_set
+
+    for n in range(2, 10):
+        for k in range(1, n + 1):
+            gamma = make_gamma_set(n, k)
+            gap = gamma.gx @ gamma.gy - gamma.gy @ gamma.gx - 2.0j * gamma.gz
+            yield float(np.max(np.abs(gap)))
+
+
+@pytest.mark.parametrize("name, reference", [
+    ("bell-norm-ceiling", _bell_norm_ceiling_per_sample),
+    ("pauli-commutator", _pauli_commutator_per_sample),
+])
+def test_verify_stacked_checks_match_per_sample_reference(name, reference):
+    # The stacked checks draw what the per-sample loops drew, in the same order,
+    # and yield the same deviations, bit for bit.
+    from bellmax import verify
+
+    check = next(entry[1] for entry in verify._CHECKS if entry[0] == name)
+    for samples in (1, 8, 25):
+        for seed in range(20):
+            stacked = [float(x).hex() for x in check(np.random.default_rng(seed), samples)]
+            alone = [float(x).hex() for x in reference(np.random.default_rng(seed), samples)]
+            assert stacked == alone, (samples, seed)
+
+
+def test_verify_bell_stacks_keep_memory_flat_in_samples():
+    # bell-norm-ceiling draws one slice of settings at a time and drops its Bell
+    # operator stacks before the next, so its peak at two and seven slices stays that
+    # of one; it moves only with how many samples of a slice have N = 5.
+    import tracemalloc
+
+    from bellmax import verify
+
+    list(verify.check_bell_norm_ceiling(np.random.default_rng(1), 8))  # one-time set-up
+    peaks = []
+    for samples in (verify._SLICE, 400, 1600):
+        tracemalloc.start()
+        try:
+            deviations = list(verify.check_bell_norm_ceiling(np.random.default_rng(0), samples))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(deviations) == samples
+    assert peaks[2] <= 1.5 * peaks[1]
+    assert peaks[2] <= 1.2 * peaks[0]
 
 
 @pytest.mark.parametrize("target, check", [

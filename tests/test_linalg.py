@@ -151,6 +151,25 @@ def test_zero_matrix():
     np.testing.assert_array_equal(hermitian_eigenvalues(np.zeros((3, 3))), np.zeros(3))
 
 
+def test_hermitian_stack_matches_each_matrix():
+    # One eigvalsh call for a stack gives every matrix the bits it gets alone.
+    rng = np.random.default_rng(31)
+    stack = np.stack([random_hermitian(rng, 6) for _ in range(20)])
+    values = hermitian_eigenvalues(stack)
+    assert values.shape == (20, 6)
+    for m, vals in zip(stack, values):
+        assert np.array_equal(vals, hermitian_eigenvalues(m))
+
+
+def test_hermitian_stack_rejects_one_asymmetric_member():
+    stack = np.stack([np.eye(3, dtype=complex)] * 4)
+    stack[2, 0, 1] = 1e-6
+    with pytest.raises(NonHermitianError, match="max asymmetry 1.000e-06"):
+        hermitian_eigenvalues(stack)
+    with pytest.raises(ValueError, match="2-d matrix"):
+        hermitian_eigenvalues(np.ones(3))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-2, 2), min_size=18, max_size=18))
 def test_eigensum_trace_property(xs):

@@ -9,10 +9,13 @@ from bellmax.linalg import hermitian_eigenvalues, tensor
 from bellmax.operators import (
     BellSettings,
     UnitVectorError,
+    _bell_operators,
+    _gamma_stack,
     bell_operator,
     make_gamma_set,
     observable,
 )
+from bellmax.sampling import unit3_stack
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -237,3 +240,44 @@ def test_settings_validation():
         BellSettings((0, 0, 0.5), (1, 0, 0), (0, 0, 1), (1, 0, 0))
     with pytest.raises(ValueError, match="positive index"):
         BellSettings((0, 0, 1), (1, 0, 0), (0, 0, 1), (1, 0, 0), k=0)
+
+
+# --------------------------------------------------------------- stacks
+
+def test_gamma_stack_matches_each_gamma_set():
+    # One _entries call for every k gives each k the bits of make_gamma_set.
+    for n in range(2, 10):
+        ks = list(range(1, n + 1))
+        stack = _gamma_stack(n, ks)
+        assert stack.shape == (4, n, n, n)
+        for k, ops in zip(ks, stack.swapaxes(0, 1)):
+            gamma = make_gamma_set(n, k)
+            for op, one in zip(ops, (gamma.gx, gamma.gy, gamma.gz, gamma.pi)):
+                assert np.array_equal(op, one) and op.dtype == one.dtype
+    # Repeated and unsorted ks are rows like any other.
+    assert np.array_equal(_gamma_stack(5, [3, 1, 3])[:, [0, 2]], _gamma_stack(5, [3, 3]))
+
+
+def _head_bell_operator(gamma, settings):
+    # The one-matrix formula: each observable, then linalg.tensor, summed in order.
+    a1, a2, b1, b2 = (d[0] * gamma.gx + d[1] * gamma.gy + d[2] * gamma.gz + gamma.pi
+                      for d in (settings.a1, settings.a2, settings.b1, settings.b2))
+    return tensor(a1, b1) + tensor(a1, b2) + tensor(a2, b1) - tensor(a2, b2)
+
+
+def test_bell_operator_stack_matches_each_matrix():
+    # A stack of Bell operators and one eigvalsh call give every row the bits of the
+    # one-matrix formula and of its top eigenvalue.
+    rng = np.random.default_rng(41)
+    for n in range(2, 6):
+        ks = rng.integers(1, n + 1, size=50)
+        directions = np.stack([unit3_stack(rng, 4) for _ in ks])
+        stack = _bell_operators(_gamma_stack(n, ks), directions)
+        tops = hermitian_eigenvalues(stack)[:, -1]
+        assert stack.shape == (50, n * n, n * n)
+        for k, d, operator, top in zip(ks, directions, stack, tops):
+            gamma, settings = make_gamma_set(n, int(k)), BellSettings(*d, k=int(k))
+            reference = _head_bell_operator(gamma, settings)
+            assert np.array_equal(operator, reference)
+            assert np.array_equal(bell_operator(gamma, settings), reference)
+            assert float(top).hex() == float(hermitian_eigenvalues(reference)[-1]).hex()
