@@ -12,6 +12,7 @@ return read-only arrays.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,11 +111,11 @@ def make_gamma_set(dim: int, k: int = 1) -> GammaSet:
 
 
 def _unit_vector(vec, name: str) -> np.ndarray:
-    """``vec`` as a float 3-vector, checked to have unit norm."""
-    v = np.asarray(vec, dtype=float)
+    """A contiguous float copy of the 3-vector ``vec``, checked to have unit norm."""
+    v = np.array(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a 1-D float vector
     if abs(norm - 1.0) > UNIT_NORM_ATOL:
         raise UnitVectorError(f"{name} must be a unit vector, got norm {norm!r}")
     return v
@@ -148,7 +149,7 @@ class BellSettings:
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2"):
             v = _unit_vector(getattr(self, name), name)
-            object.__setattr__(self, name, _frozen(v.copy()))
+            object.__setattr__(self, name, _frozen(v))
         if self.k < 1:
             raise ValueError(f"k must be a positive index, got {self.k}")
 

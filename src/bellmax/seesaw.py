@@ -56,7 +56,7 @@ _NORM_FLOOR = 1e-150
 #: Signs of ``v``'s derivative along the four tangents.
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
 _SIGN_PAIRS = (_SIGNS * _SIGNS.T)[..., None]
-_DIAG = (np.arange(4), np.arange(4))
+_PLUS_MINUS = np.array([[1.0], [-1.0]])  # o1 + o2 and o1 - o2 in _targets
 #: Factors from the moments ``T`` to the moment stack: 1 on ``R``, 2 on ``g``, ``h``, ``p``.
 _DOUBLED = np.pad(np.ones((3, 3)), (0, 1), constant_values=2.0)[..., None]
 
@@ -100,7 +100,7 @@ def _targets(m: np.ndarray, other: np.ndarray) -> np.ndarray:
     """The b-step targets ``(R^T(o1 + o2) + 2h, R^T(o1 - o2))`` for the other party's pairs
     ``(o1, o2)``, ``(3, 2, rows)``; on ``m.swapaxes(0, 1)``, the a-step targets ``(R(o1 + o2)
     + 2g, R(o1 - o2))``."""
-    pairs = (other[:, :1] + [[1.0], [-1.0]] * other[:, 1:])[:, None]
+    pairs = (other[:, :1] + _PLUS_MINUS * other[:, 1:])[:, None]
     # C order: the default follows the strides of m.swapaxes(0, 1) and slows what follows.
     target = _sum3(np.multiply(m[:3, :3, None], pairs, order="C"))
     target[:, 0] += m[3, :3]
@@ -112,16 +112,19 @@ def _sum4(x: np.ndarray) -> np.ndarray:
     return x[0] + x[1] + x[2] + x[3]
 
 
-def _tangents(b: np.ndarray):
-    """Two unit vectors orthogonal to each unit vector along the leading axis of ``b`` and
-    to each other (Duff et al., J. Comput. Graph. Tech. 6, 1 (2017)). A vector in the x-z
-    plane gets one tangent in that plane and one along y, both with exact zeros."""
+def _basis(b: np.ndarray) -> np.ndarray:
+    """The tangent basis of the pairs ``b`` ``(3, 2, n)``, ``(3, 2, 2, n)``: for each vector,
+    two unit vectors orthogonal to it and to each other (Duff et al., J. Comput. Graph. Tech.
+    6, 1 (2017)). A vector in the x-z plane gets one tangent in that plane and one along y,
+    both with exact zeros."""
     x, y, z = b
     sign = np.copysign(1.0, z)
     scale = -1.0 / (sign + z)
     xy = x * y * scale
-    return (np.array((1.0 + sign * x * x * scale, sign * xy, -sign * x)),
-            np.array((xy, sign + y * y * scale, -y)))
+    basis = np.empty((3, 2, 2, b.shape[-1]))  # (component, vector, tangent, row)
+    basis[:, :, 0] = 1.0 + sign * x * x * scale, sign * xy, -sign * x
+    basis[:, :, 1] = xy, sign + y * y * scale, -y
+    return basis
 
 
 def _value(m: np.ndarray, b_targets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,54 +151,60 @@ def _surface(m: np.ndarray, b: np.ndarray):
     return norms[0] + norms[1] + _sum3(b[:, 0] * m[3, :3]) + m[3, 3], uv, norms
 
 
-def _newton_parts(m: np.ndarray, b: np.ndarray):
-    """``F`` and ``(u, v)`` (``_surface``) with the Riemannian gradient and Hessian of ``F``
-    on the product of the two spheres, in the tangent basis ``basis`` ``(3, 4, n)``: two unit
-    vectors orthogonal to ``b1``, then two orthogonal to ``b2``. With ``W = R basis`` and
+def _newton_parts(m: np.ndarray, b: np.ndarray, surface):
+    """``F`` and ``(u, v)`` of ``surface = _surface(m, b)`` with the Riemannian gradient and
+    Hessian of ``F`` on the product of the two spheres, in the tangent basis ``_basis(b)``:
+    two unit vectors orthogonal to ``b1``, then two orthogonal to ``b2``. With ``W = R basis`` and
     ``s = (1, 1, -1, -1)``, the gradient is ``W^T u^ + s W^T v^ + (basis^T 2h, 0)`` and the
     Hessian ``W^T P_u W / |u| + s W^T P_v W s / |v|``, ``P_u = I - u^ u^T``, minus ``b.grad F``
     on each sphere's block (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
     Manifolds, 2008, ch. 5-6). Also returns the Euclidean gradient ``(R^T(u^+v^) + 2h,
     R^T(u^-v^))``, which is the target of the see-saw's b-step from ``a = (u^, v^)``."""
-    f, uv, norms = _surface(m, b)
+    f, uv, norms = surface
     norms = np.maximum(norms, _NORM_FLOOR)
     unit = uv / norms
     euclid = _targets(m, unit)
-    basis = np.stack(_tangents(b), 2).reshape(3, 4, -1)
-    w = _sum3(np.multiply(m.swapaxes(0, 1)[:3, :3, None], basis[:, None], order="C"))
+    basis = _basis(b)
+    w = _sum3(np.multiply(m.swapaxes(0, 1)[:3, :3, None], basis.reshape(3, 1, 4, -1), order="C"))
     wu, wv = _sum3(w * unit[:, :1]), _sum3(w * unit[:, 1:]) * _SIGNS
-    grad = _sum3(basis * np.repeat(euclid, 2, axis=1))
+    grad = _sum3(basis * euclid[:, :, None]).reshape(4, -1)
     ww = _sum3(w[:, :, None] * w[:, None])
     hess = (ww - wu[:, None] * wu) / norms[0] + (_SIGN_PAIRS * ww - wv[:, None] * wv) / norms[1]
-    hess[_DIAG] -= np.repeat(_sum3(b * euclid), 2, axis=0)
+    diagonal = hess.reshape(16, -1)[::5].reshape(2, 2, -1)  # a view: hess is C-contiguous
+    diagonal -= _sum3(b * euclid)[:, None]
     return f, uv, grad, hess, basis, euclid
 
 
 def _line_search(m: np.ndarray, b: np.ndarray, move: np.ndarray, euclid: np.ndarray, f):
-    """The next pairs from ``b`` along the Newton steps ``move``, both ``(3, 2, n)``: the
-    first candidate that raises ``F`` above ``f``, else the see-saw step ``unit(euclid)``.
-    The candidates are ``b + s move`` back on the spheres at each length ``s`` of
-    ``_SCALES``, then the full step followed by a see-saw step. Every row tries the full
-    step; only the rows where it fails try the rest (backtracking; Absil, Mahony &
+    """The next pairs from ``b`` along the Newton steps ``move``, both ``(3, 2, n)``, and their
+    ``_surface``: the first candidate that raises ``F`` above ``f``, else the see-saw step
+    ``unit(euclid)``. The candidates are ``b + s move`` back on the spheres at each length
+    ``s`` of ``_SCALES``, then the full step followed by a see-saw step. Every row tries the
+    full step; only the rows where it fails try the rest (backtracking; Absil, Mahony &
     Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 4). Where R's
     singular values nearly coincide, the maximisers form a curved ridge; a step along it
     leaves it at second order and can lose more than it gains, and the see-saw step after
     it returns to the ridge (a second-order correction)."""
-    taken = _unit(b + move, 0.0)
-    f_full, uv, norms = _surface(m, taken)
-    fails = ~(f_full > f)
+    taken = b + move
+    taken /= np.sqrt(_sum3(taken * taken))  # a norm is +0 or more, or NaN: no floor needed
+    surface = _surface(m, taken)
+    fails = ~(surface[0] > f)
     if not np.count_nonzero(fails):
-        return taken
+        return taken, surface
     m, b, move, euclid, f, full, uv, norms = (
-        x[..., fails] for x in (m, b, move, euclid, f, taken, uv, norms))
-    tries = _unit(b[:, :, None] + _SCALES[1:, None] * move[:, :, None], 0.0)
+        x[..., fails] for x in (m, b, move, euclid, f, taken, *surface[1:]))
+    tries = b[:, :, None] + _SCALES[1:, None] * move[:, :, None]
+    tries /= np.sqrt(_sum3(tries * tries))
     corrected = _unit(_targets(m, uv / np.maximum(norms, _NORM_FLOOR)), full, 1e-300)
     tries = np.concatenate((tries, corrected[:, :, None], _unit(euclid, b, 1e-300)[:, :, None]), 2)
     count = tries.shape[2]
-    rises = _surface(np.tile(m, count), tries.reshape(3, 2, -1))[0].reshape(count, -1) > f
+    tried = _surface(np.tile(m, count), tries.reshape(3, 2, -1))
+    rises = tried[0].reshape(count, -1) > f
     pick = np.where(rises[:-1].any(0), rises[:-1].argmax(0), count - 1)
-    taken[..., fails] = tries[:, :, pick, np.arange(len(pick))]
-    return taken
+    index = pick * len(pick) + np.arange(len(pick))  # into the candidates, count-major
+    for whole, part in zip((taken, *surface), (tries.reshape(3, 2, -1), *tried)):
+        whole[..., fails] = part[..., index]
+    return taken, surface
 
 
 def _newton(m: np.ndarray, b: np.ndarray, budget: np.ndarray, tol: float):
@@ -211,26 +220,29 @@ def _newton(m: np.ndarray, b: np.ndarray, budget: np.ndarray, tol: float):
     converged, and ``(a1, a2, b1, b2)`` with ``a = (u/|u|, v/|v|)``."""
     n = b.shape[-1]
     value, steps, converged = np.empty(n), np.zeros(n, int), np.zeros(n, bool)
-    vectors = np.empty((3, 4, n))
+    vectors = np.empty((3, 4, n))  # (u, v, b1, b2) until the loop ends
     rows = np.arange(n)
+    surface = _surface(m, b)
     for step in range(int(budget.max(initial=0)) + 1):
-        f, uv, grad, hess, basis, euclid = _newton_parts(m, b)
+        f, uv, grad, hess, basis, euclid = _newton_parts(m, b, surface)
         top = np.linalg.eigvalsh(hess.transpose(2, 0, 1))[:, -1]
-        hess[_DIAG] -= 2.0 * np.maximum(top, 0.0) + np.sqrt(_sum4(grad * grad)) + _SHIFT_FLOOR
+        diagonal = hess.reshape(16, -1)[::5]  # a view: hess is C-contiguous
+        diagonal -= 2.0 * np.maximum(top, 0.0) + np.sqrt(_sum4(grad * grad)) + _SHIFT_FLOOR
         direction = np.linalg.solve(hess.transpose(2, 0, 1), -grad.T[..., None])[..., 0].T
         small = _sum4(grad * direction) / 2 <= tol
         done = small | (step >= budget)
         if np.count_nonzero(done):
-            value[rows[done]], steps[rows[done]], converged[rows[done]] = f[done], step, small[done]
-            a = _unit(uv[..., done], _AXIS_FALLBACKS[:2].T[..., None], 1e-300)
-            vectors[..., rows[done]] = np.concatenate((a, b[..., done]), 1)
+            finished = rows[done]
+            value[finished], steps[finished], converged[finished] = f[done], step, small[done]
+            vectors[..., finished] = np.concatenate((uv[..., done], b[..., done]), 1)
             if done.all():
                 break
             keep = ~done
             m, b, budget, rows, f, basis, euclid, direction = (
                 x[..., keep] for x in (m, b, budget, rows, f, basis, euclid, direction))
-        move = (basis * direction).reshape(3, 2, 2, -1)
-        b = _line_search(m, b, move[:, :, 0] + move[:, :, 1], euclid, f)
+        move = basis * direction.reshape(2, 2, -1)
+        b, surface = _line_search(m, b, move[:, :, 0] + move[:, :, 1], euclid, f)
+    vectors[:, :2] = _unit(vectors[:, :2], _AXIS_FALLBACKS[:2].T[..., None], 1e-300)
     return value, steps, converged, vectors
 
 
@@ -246,16 +258,20 @@ def _climb(m: np.ndarray, starts: np.ndarray, cfg: SeesawConfig):
     a, b = starts[:, :2], starts[:, 2:]
     value = _value(m, _targets(m, a), a, b)
     used, running = np.zeros(value.shape, int), np.ones(value.shape, bool)
+    frozen = False  # whether some row has stopped, and so must keep its vectors
     for _ in range(min(cfg.max_iters, _SEESAW_ITERS)):
-        a = np.where(running, _unit(_targets(m.swapaxes(0, 1), b), a, 1e-300), a)
+        step = _unit(_targets(m.swapaxes(0, 1), b), a, 1e-300)
+        a = np.where(running, step, a) if frozen else step
         b_targets = _targets(m, a)
-        b = np.where(running, _unit(b_targets, b, 1e-300), b)
+        step = _unit(b_targets, b, 1e-300)
+        b = np.where(running, step, b) if frozen else step
         updated = _value(m, b_targets, a, b)  # a frozen row keeps its bits
         used += running
         running &= ~(np.abs(updated - value) <= cfg.tol)
         value = updated
-        if not np.count_nonzero(running):
+        if not (left := np.count_nonzero(running)):
             break
+        frozen = left < running.size
     vectors = np.concatenate((a, b), 1)
     polished, steps, converged, newton_vectors = _newton(m, b, cfg.max_iters - used, cfg.tol)
     moved = steps > 0

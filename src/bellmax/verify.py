@@ -20,24 +20,18 @@ import numpy as np
 from . import sampling, seesaw
 from .linalg import hermitian_eigenvalues
 from .operators import _bell_operators, _gamma_stack, make_gamma_set, observable
-from .seesaw import (
-    SeesawConfig,
-    _seesaw_batch,
-    bell_value,
-    bell_value_from_correlations,
-    seesaw_maximize,
-)
+from .seesaw import SeesawConfig, _seesaw_batch, seesaw_maximize
 from .states import (
     IsotropicState,
     isotropic_to_density,
     partial_trace,
     schmidt_to_density,
 )
-from .violation import _closed_forms, correlation_data
+from .violation import _closed_forms, _moments
 # Unused here; kept because the traced bench wraps them (ROADMAP direction 2).
 from .linalg import hermitian_eig, tensor  # noqa: F401
-from .seesaw import spectral_max  # noqa: F401
-from .violation import max_violation_closed_form  # noqa: F401
+from .seesaw import bell_value, bell_value_from_correlations, spectral_max  # noqa: F401
+from .violation import correlation_data, max_violation_closed_form  # noqa: F401
 
 _TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -170,14 +164,29 @@ def check_gisin_constrained(rng, samples: int):
 
 
 def check_bell_value_identity(rng, samples: int):
-    for idx in range(samples):
+    """``|bell_value - bell_value_from_correlations|`` per sample, one ``_SLICE`` at a time:
+    the direct traces as one Bell operator stack per N, the reduced values as one moment
+    batch, each with the bits of the one-sample call."""
+    def draw(idx):  # a sample's draws together, so no deviation depends on _SLICE
         n = int(rng.integers(2, 6))
         k = int(rng.integers(1, n + 1))
         state = sampling.mixed_density(rng, n) if idx % 2 else sampling.pure_density(rng, n)
         settings = sampling.random_settings(rng, k)
-        direct = bell_value(state, settings)
-        reduced = bell_value_from_correlations(correlation_data(state, k), settings)
-        yield abs(direct - reduced)
+        return state, k, (settings.a1, settings.a2, settings.b1, settings.b2)
+
+    draws = (draw(idx) for idx in range(samples))
+    while batch := list(itertools.islice(draws, _SLICE)):
+        states, ks, directions = zip(*batch)
+        ns, ks, directions = np.array([s.dim for s in states]), np.array(ks), np.array(directions)
+        direct = np.empty(len(batch))
+        for n in set(ns.tolist()):  # one stack of Bell operators per N, dropped at once
+            rows = np.flatnonzero(ns == n)
+            ops = _bell_operators(_gamma_stack(n, ks[rows]), directions[rows])
+            direct[rows] = np.einsum("irc,icr->i", [states[i].rho for i in rows], ops).real
+        m, v = _moments(batch).transpose(1, 2, 0) * seesaw._DOUBLED, directions.T
+        reduced = seesaw._value(m, seesaw._targets(m, v[:, :2]), v[:, :2], v[:, 2:])
+        yield from np.abs(direct - reduced)
+        del batch, states, ops  # before the next slice is drawn
 
 
 def check_seesaw_determinism(rng, samples: int, first=None) -> CheckResult:
@@ -238,7 +247,10 @@ _CHECKS = (
 def _run(name: str, check, bound, suffix: str, rng, samples: int) -> CheckResult:
     if bound is None:
         return check(rng, samples)
-    worst = np.max(np.fromiter(check(rng, samples), float), initial=0.0)
+    deviations, worst = check(rng, samples), 0.0
+    # One _SLICE of deviations at a time; np.max, unlike max, keeps a NaN.
+    while (chunk := np.fromiter(itertools.islice(deviations, _SLICE), float)).size:
+        worst = np.max(chunk, initial=worst)
     detail = f"worst deviation {worst:.3e} (bound {bound:.1e})"
     if suffix:
         detail += "; " + suffix.format(count=_state_count(samples))

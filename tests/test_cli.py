@@ -536,43 +536,105 @@ def _pauli_commutator_per_sample(rng, samples):
             yield float(np.max(np.abs(gap)))
 
 
+def _bell_value_identity_per_sample(rng, samples):
+    # The one-sample reference: a direct trace and a 3x3 reduction per sample.
+    from bellmax import sampling
+    from bellmax.seesaw import bell_value, bell_value_from_correlations
+    from bellmax.violation import correlation_data
+
+    for idx in range(samples):
+        n = int(rng.integers(2, 6))
+        k = int(rng.integers(1, n + 1))
+        state = sampling.mixed_density(rng, n) if idx % 2 else sampling.pure_density(rng, n)
+        settings = sampling.random_settings(rng, k)
+        yield abs(bell_value(state, settings)
+                  - bell_value_from_correlations(correlation_data(state, k), settings))
+
+
 @pytest.mark.parametrize("name, reference", [
     ("bell-norm-ceiling", _bell_norm_ceiling_per_sample),
     ("pauli-commutator", _pauli_commutator_per_sample),
+    ("bell-value-identity", _bell_value_identity_per_sample),
 ])
 def test_verify_stacked_checks_match_per_sample_reference(name, reference):
     # The stacked checks draw what the per-sample loops drew, in the same order,
-    # and yield the same deviations, bit for bit.
+    # and yield the same deviations, bit for bit, also past one slice.
     from bellmax import verify
 
     check = next(entry[1] for entry in verify._CHECKS if entry[0] == name)
-    for samples in (1, 8, 25):
-        for seed in range(20):
+    for samples in (1, 2, 5, 8, 25, verify._SLICE + 1):
+        for seed in range(20 if samples < verify._SLICE else 1):
             stacked = [float(x).hex() for x in check(np.random.default_rng(seed), samples)]
             alone = [float(x).hex() for x in reference(np.random.default_rng(seed), samples)]
             assert stacked == alone, (samples, seed)
 
 
 def test_verify_bell_stacks_keep_memory_flat_in_samples():
-    # bell-norm-ceiling draws one slice of settings at a time and drops its Bell
-    # operator stacks before the next, so its peak at two and seven slices stays that
-    # of one; it moves only with how many samples of a slice have N = 5.
+    # bell-norm-ceiling and bell-value-identity draw one slice of samples at a time
+    # and drop their Bell operator stacks before the next, so each one's peak at two
+    # and seven slices stays that of one; it moves only with how many samples of a
+    # slice have N = 5.
     import tracemalloc
 
     from bellmax import verify
 
-    list(verify.check_bell_norm_ceiling(np.random.default_rng(1), 8))  # one-time set-up
+    for name in ("bell-norm-ceiling", "bell-value-identity"):
+        check = next(entry[1] for entry in verify._CHECKS if entry[0] == name)
+        list(check(np.random.default_rng(1), 8))  # one-time set-up
+        peaks = []
+        for samples in (verify._SLICE, 400, 1600):
+            tracemalloc.start()
+            try:
+                deviations = list(check(np.random.default_rng(0), samples))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(deviations) == samples
+        assert peaks[2] <= 1.5 * peaks[1], name
+        assert peaks[2] <= 1.2 * peaks[0], name
+
+
+def test_verify_runner_memory_is_flat_in_samples():
+    # The runner reduces one slice of deviations at a time, so its peak does not grow
+    # with the sample count, and a NaN in a later slice still fails the check.
+    import tracemalloc
+
+    from bellmax import verify
+
+    def deviations(rng, samples):
+        return (1e-12 * (i % 7) for i in range(samples))
+
+    def late_nan(rng, samples):
+        yield from deviations(rng, samples)
+        yield math.nan
+
+    verify._run("synthetic", deviations, 1e-10, "", None, 8)  # one-time set-up
     peaks = []
-    for samples in (verify._SLICE, 400, 1600):
+    for samples in (10 * verify._SLICE, 1000 * verify._SLICE):
         tracemalloc.start()
         try:
-            deviations = list(verify.check_bell_norm_ceiling(np.random.default_rng(0), samples))
+            result = verify._run("synthetic", deviations, 1e-10, "", None, samples)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert len(deviations) == samples
-    assert peaks[2] <= 1.5 * peaks[1]
-    assert peaks[2] <= 1.2 * peaks[0]
+        assert result.passed and result.detail == "worst deviation 6.000e-12 (bound 1.0e-10)"
+    # Holding the 256 000 deviations would take 2 MB; one slice takes 2 kB.
+    assert peaks[1] <= 4 * peaks[0] and peaks[1] < 0.1 * 8 * samples
+    result = verify._run("synthetic", late_nan, 1e-10, "", None, 3 * verify._SLICE)
+    assert not result.passed and result.detail.startswith("worst deviation nan")
+
+
+def test_verify_bell_value_identity_sees_a_shifted_reduction(monkeypatch):
+    # The stacked check compares the direct traces with seesaw._value, the one formula
+    # of bell_value_from_correlations: shifting it by 1e-9 fails the check.
+    from bellmax import verify
+
+    value = seesaw._value
+    monkeypatch.setattr(seesaw, "_value", lambda *args: value(*args) + 1e-9)
+    for shifted in (True, False):
+        records = {r.name: r for r in verify.run_all_checks(0, 4)}
+        assert records["bell-value-identity"].passed is not shifted
+        monkeypatch.setattr(seesaw, "_value", value)
 
 
 @pytest.mark.parametrize("target, check", [

@@ -17,6 +17,21 @@ def test_digests_do_not_depend_on_the_working_directory(tmp_path):
         runs.append(report_digest.digests(["density-oracle"], 1, [1], 1, str(tmp_path / sub)))
         assert not any((tmp_path / sub / report_digest.STATE_DIR).iterdir())
     assert runs[0] == runs[1]
-    assert set(runs[0]) == {"density-oracle", "verify-seeds"}
+    assert set(runs[0]) == {"density-oracle", "optimize", "verify-seeds"}
     other = report_digest.digests(["density-oracle"], 1, [7], 0, str(tmp_path / "first"))
     assert other["density-oracle"] != runs[0]["density-oracle"]
+    assert other["optimize"] != runs[0]["optimize"]
+
+
+def test_optimize_jobs_cover_every_density_input_both_ways():
+    # One optimize job per density-oracle input, free and with --constrain-y, whose
+    # inputs, and so whose list, change with the seed.
+    lists = [report_digest.job_lists(["density-oracle"], 1, [seed], 0) for seed in (1, 7)]
+    for jobs in lists:
+        density, optimize = jobs["density-oracle"], jobs["optimize"]
+        assert len(optimize) == 2 * len(density)
+        for job, free, constrained in zip(density, optimize[::2], optimize[1::2]):
+            assert free.argv[:3] == ("optimize", "--state", *job.files)
+            assert constrained.argv == free.argv + ("--constrain-y",)
+            assert free.files == job.files
+    assert lists[0]["optimize"] != lists[1]["optimize"]

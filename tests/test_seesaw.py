@@ -663,13 +663,11 @@ def eager_line_search(m, b, move, euclid, f):
     return tries[:, :, pick, np.arange(len(pick))], pick
 
 
-def test_line_search_matches_eager_picks():
-    # Trying the other candidates only where the full step fails picks, bit for bit,
-    # what trying every candidate on every row picks: on random stacks with steps of
-    # many sizes, plus rows forced to fail the full step (f at F of the full step)
-    # and rows forced to fail every length (f = inf) and take the see-saw step.
+def line_search_stacks():
+    """Random ``_line_search`` inputs ``(m, b, move, euclid, f)`` with steps of many sizes,
+    plus rows forced to fail the full step (f at F of the full step) and rows forced to
+    fail every length (f = inf) and take the see-saw step."""
     rng = np.random.default_rng(17)
-    picks = []
     for n in (1, 5, 64, 300):
         m = np.empty((4, 4, n))  # the moment stack: R, 2g, 2h, 2p
         m[:3, :3] = rng.normal(size=(n, 3, 3)).transpose(1, 2, 0)
@@ -682,12 +680,33 @@ def test_line_search_matches_eager_picks():
         full = seesaw._surface(m, seesaw._unit(b + move, 0.0))[0]
         forced = rng.integers(0, 4, size=n)
         f = np.where(forced == 1, full, np.where(forced == 2, np.inf, f))
-        stacks = m, b, move, euclid, f
+        yield m, b, move, euclid, f
+
+
+def test_line_search_matches_eager_picks():
+    # Trying the other candidates only where the full step fails picks, bit for bit,
+    # what trying every candidate on every row picks, on the rows of line_search_stacks.
+    picks = []
+    for stacks in line_search_stacks():
         expected, pick = eager_line_search(*stacks)
-        assert np.array_equal(seesaw._line_search(*stacks), expected)
+        assert np.array_equal(seesaw._line_search(*stacks)[0], expected)
         picks.append(pick)
     counts = np.bincount(np.concatenate(picks), minlength=len(seesaw._SCALES) + 2)
     assert np.all(counts[[0, 1, -2, -1]] > 0)
+
+
+def test_line_search_returns_the_surface_of_its_picks():
+    # The surface that _line_search returns with its pairs, which the next Newton step
+    # reads instead of evaluating F again, is _surface at those pairs bit for bit, on
+    # full-step, backtracked, corrected and see-saw-step rows alike.
+    picks = []
+    for stacks in line_search_stacks():
+        taken, surface = seesaw._line_search(*stacks)
+        for got, expected in zip(surface, seesaw._surface(stacks[0], taken), strict=True):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        picks.append(eager_line_search(*stacks)[1])
+    counts = np.bincount(np.concatenate(picks), minlength=len(seesaw._SCALES) + 2)
+    assert np.all(counts > 0)
 
 
 def test_verify_rows_all_converge(monkeypatch):
@@ -736,9 +755,9 @@ def test_constrained_newton_keeps_y_exactly_zero(monkeypatch):
     # y axis, and the zero couplings survive the solve.
     parts, points = seesaw._newton_parts, []
 
-    def recording_parts(m, b):
+    def recording_parts(m, b, surface):
         points.append(b)
-        return parts(m, b)
+        return parts(m, b, surface)
 
     monkeypatch.setattr(seesaw, "_SEESAW_ITERS", 2)
     monkeypatch.setattr(seesaw, "_newton_parts", recording_parts)

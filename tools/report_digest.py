@@ -1,13 +1,15 @@
 """Digest the report bytes of fixed CLI jobs, one sha256 per workload.
 
 Runs ``bellmax.cli.main`` in this process over blocks 0-3 under seeds 1 and 7
-of every workload in ``bench/workloads.py``, plus ``verify --seed 0..59`` and
-``verify --seed 0 --samples 400``, whose 256-problem slices span the
-closed-vs-see-saw checks, and hashes each job's argv, exit code, stdout and
-stderr in job order. The inputs are written under the relative directory
-``states`` of a temporary working directory, so the manifests name no
-temporary path and two trees that give the same report bytes give the same
-digests. Run it once per tree and compare:
+of every workload in ``bench/workloads.py``, plus ``optimize`` on every
+density-oracle input (with and without ``--constrain-y``, so the digests see
+the settings, ``iterations_used`` and ``converged`` of the see-saw),
+``verify --seed 0..59`` and ``verify --seed 0 --samples 400``, whose
+256-problem slices span the closed-vs-see-saw checks, and hashes each job's
+argv, exit code, stdout and stderr in job order. The inputs are written
+under the relative directory ``states`` of a temporary working directory, so
+the manifests name no temporary path and two trees that give the same report
+bytes give the same digests. Run it once per tree and compare:
 
     PYTHONPATH=src python3 tools/report_digest.py
     PYTHONPATH=/path/to/other/checkout/src python3 tools/report_digest.py
@@ -32,6 +34,8 @@ STATE_DIR = "states"
 BLOCKS = 4
 SEEDS = (1, 7)
 VERIFY_SEEDS = 60
+#: Restarts of each ``optimize`` job.
+OPTIMIZE_RESTARTS = 4
 #: One verify job whose slices of closed-vs-see-saw problems span checks (about 1.2 s).
 SLICED_VERIFY = ("verify", "--seed", "0", "--samples", "400", "--no-timestamp")
 
@@ -42,12 +46,27 @@ def job_lists(names, blocks: int, seeds, verify_seeds: int,
     lists = {name: [job for seed in seeds for block in range(blocks)
                     for job in workloads.block_jobs(name, seed, block, STATE_DIR)]
              for name in names}
+    if "density-oracle" in lists:
+        lists["optimize"] = optimize_jobs(lists["density-oracle"])
     if verify_seeds:
         lists["verify-seeds"] = [workloads.Job(("verify", "--seed", str(seed), "--no-timestamp"),
                                                "verify", {}) for seed in range(verify_seeds)]
     if sliced_verify:
         lists["verify-sliced"] = [workloads.Job(SLICED_VERIFY, "verify", {})]
     return lists
+
+
+def optimize_jobs(jobs) -> list:
+    """An ``optimize`` job on the input of each job of ``jobs``, at ``--k`` and ``--seed``
+    from its slot, once free and once with ``--constrain-y``."""
+    result = []
+    for slot, job in enumerate(jobs):
+        (path,) = job.files
+        argv = ("optimize", "--state", path, "--k", str(1 + slot % job.spec["N"]),
+                "--seed", str(slot), "--restarts", str(OPTIMIZE_RESTARTS), "--no-timestamp")
+        result += [workloads.Job(argv + flag, "optimize", {}, job.files)
+                   for flag in ((), ("--constrain-y",))]
+    return result
 
 
 def digests(names, blocks: int, seeds, verify_seeds: int, work_dir: str,
