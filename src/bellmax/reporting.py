@@ -50,36 +50,77 @@ def to_json(payload: Any) -> str:
     return "".join(pieces)
 
 
-def _emit(value: Any, level: int, out: list[str]) -> None:
+#: How each kind of scalar is written, tried in this order. A string is written as
+#: ``json.dumps`` writes it, through the function ``json.dumps`` calls for one.
+_WRITERS = {
+    type(None): lambda value: "null",
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: str,
+    float: format_float,
+    str: json.encoder.encode_basestring_ascii,
+}
+
+
+def _scalar(value: Any) -> str | None:
+    """JSON text of a scalar report value; ``None`` for a dict, list or tuple."""
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         value = value.item()
-    if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(format_float(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, (dict, list, tuple)):
-        # One layout for both containers; an object's items lead with a key.
-        keyed = isinstance(value, dict)
-        items = ([(json.dumps(str(key)) + ": ", item) for key, item in value.items()]
-                 if keyed else [("", item) for item in value])
-        brackets = "{}" if keyed else "[]"
-        if not items:
-            out.append(brackets)
-            return
-        out.append(brackets[0] + "\n")
-        for index, (key, item) in enumerate(items):
-            out.append("  " * (level + 1) + key)
-            _emit(item, level + 1, out)
-            out.append(",\n" if index < len(items) - 1 else "\n")
-        out.append("  " * level + brackets[1])
-    else:
-        raise TypeError(f"cannot serialise {type(value).__name__} into a report")
+    for kind, write in _WRITERS.items():
+        if isinstance(value, kind):
+            return write(value)
+    if isinstance(value, (dict, list, tuple)):
+        return None
+    raise TypeError(f"cannot serialise {type(value).__name__} into a report")
+
+
+def _emit(value: Any, level: int, out: list[str]) -> None:
+    text = _scalar(value)
+    if text is None and not isinstance(value, dict):
+        text = _rows(value, level)
+    if text is not None:
+        out.append(text)
+        return
+    # One layout for both containers; an object's items lead with a key.
+    keyed = isinstance(value, dict)
+    items = ([(json.dumps(str(key)) + ": ", item) for key, item in value.items()]
+             if keyed else [("", item) for item in value])
+    brackets = "{}" if keyed else "[]"
+    if not items:
+        out.append(brackets)
+        return
+    out.append(brackets[0] + "\n")
+    for index, (key, item) in enumerate(items):
+        out.append("  " * (level + 1) + key)
+        _emit(item, level + 1, out)
+        out.append(",\n" if index < len(items) - 1 else "\n")
+    out.append("  " * level + brackets[1])
+
+
+def _rows(rows, level: int) -> str | None:
+    """``_emit``'s text of a list of flat dicts that share one tuple of string keys, a column
+    at a time and each row from one template whose key prefixes are built once; ``None`` for
+    any other list. A value that cannot be written also gives ``None``, so that ``_emit``
+    raises in document order."""
+    if not rows or set(map(type, rows)) != {dict}:
+        return None
+    keys = tuple(rows[0])
+    if not keys or not all(type(key) is str for key in keys) or set(map(tuple, rows)) != {keys}:
+        return None
+    columns = []
+    try:
+        for column in zip(*map(dict.values, rows)):
+            kinds = set(map(type, column))
+            write = _WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
+            columns.append(list(map(write or _scalar, column)))
+            if write is None and None in columns[-1]:  # a nested container
+                return None
+    except (TypeError, ValueError):
+        return None
+    inner, indent = "\n" + "  " * (level + 2), "  " * (level + 1)
+    template = "{" + ",".join(inner + json.dumps(key).replace("%", "%%") + ": %s"
+                              for key in keys) + "\n" + indent + "}"
+    return ("[\n" + indent + (",\n" + indent).join(map(template.__mod__, zip(*columns)))
+            + "\n" + "  " * level + "]")
 
 
 def grid_csv(rows: list[tuple[float, float, int]]) -> str:

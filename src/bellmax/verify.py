@@ -27,7 +27,7 @@ from .states import (
     partial_trace,
     schmidt_to_density,
 )
-from .violation import _closed_forms, _moments
+from .violation import _closed_values, _moments
 # Unused here; kept because the traced bench wraps them (ROADMAP direction 2).
 from .linalg import hermitian_eig, tensor  # noqa: F401
 from .seesaw import bell_value, bell_value_from_correlations, spectral_max  # noqa: F401
@@ -106,9 +106,10 @@ def _closed_vs_seesaw(checks, samples: int):
     problems = _problems(checks, samples)
     while batch := list(itertools.islice(problems, _SLICE)):
         owners, flags, cases = zip(*batch)
-        for owner, flag, case, rep, oracle in zip(owners, flags, cases, _closed_forms(cases),
-                                                  _seesaw_batch(cases, flags)):
-            yield owner, abs(rep.value - oracle.value), (case, flag, oracle)
+        closed = _closed_values(cases)[2].tolist()
+        for owner, flag, case, value, oracle in zip(owners, flags, cases, closed,
+                                                    _seesaw_batch(cases, flags)):
+            yield owner, abs(value - oracle.value), (case, flag, oracle)
         del batch, cases, case  # before the next slice is drawn
 
 
@@ -145,17 +146,14 @@ def check_product_ceiling(rng, samples: int):
     cases = (combos[idx % len(combos)] for idx in range(samples))
     problems = ((sampling.product_density(rng, n), k) for n, k in cases)
     while batch := list(itertools.islice(problems, _SLICE)):
-        for rep in _closed_forms(batch):
-            yield rep.value - 2.0
+        yield from _closed_values(batch)[2] - 2.0
         del batch  # before the next slice is drawn
 
 
 def check_isotropic_monotone(rng, samples: int):
     grid = np.linspace(0.0, 1.0, 101)
-    reports = _closed_forms([(IsotropicState(n, x), 1) for n in (3, 4) for x in grid])
-    for values in (reports[:len(grid)], reports[len(grid):]):
-        for earlier, later in itertools.pairwise(values):
-            yield later.value - earlier.value
+    values = _closed_values([(IsotropicState(n, x), 1) for n in (3, 4) for x in grid])[2]
+    yield from np.diff(values.reshape(2, len(grid))).ravel()  # later - earlier, per N
 
 
 @functools.partial(_SeesawCheck, constrain_y=True)

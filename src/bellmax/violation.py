@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -68,7 +69,7 @@ class CorrelationData:
     vectors: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViolationReport:
     """Maximal-value report for one state and one measurement index."""
 
@@ -83,7 +84,11 @@ class ViolationReport:
     method: str
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(_REPORT_KEYS, _report_values(self)))
+
+
+_REPORT_KEYS = tuple(f.name for f in fields(ViolationReport))
+_report_values = operator.attrgetter(*_REPORT_KEYS)
 
 
 def _row_bytes(state: QuantumState) -> int:
@@ -204,12 +209,18 @@ def optimal_settings(corr: CorrelationData) -> BellSettings:
     return BellSettings(a1, a2, b1, b2, k=corr.k)
 
 
+def _closed_values(problems):
+    """``T``, ``(tau1, tau2)`` and the closed form ``2 sqrt(tau1 + tau2) + 2p`` of every
+    ``(state, k, ...)`` problem, from one ``_spectra`` batch."""
+    t, tau, _ = _spectra(problems)
+    return t, tau, 2.0 * np.sqrt(tau[:, 0] + tau[:, 1]) + 2.0 * t[:, 3, 3]
+
+
 def _closed_forms(problems) -> list[ViolationReport]:
-    """Closed-form reports ``2 sqrt(tau1 + tau2) + 2p`` for every ``(state, k, ...)`` problem.
+    """Closed-form reports (``_closed_values``) for every ``(state, k, ...)`` problem.
     ``formula_valid``: the projector cross terms vanish (a NaN does not), exactly
     so for even N (zero projector) and Schmidt states; else prefer an oracle."""
-    t, tau, _ = _spectra(problems)
-    values = 2.0 * np.sqrt(tau[:, 0] + tau[:, 1]) + 2.0 * t[:, 3, 3]
+    t, tau, values = _closed_values(problems)
     cross = np.maximum(np.abs(t[:, :3, 3]), np.abs(t[:, 3, :3])).max(axis=1)
     return [ViolationReport(value=value, tau1=tau1, tau2=tau2, pi_term=2.0 * p, k=problem[1],
                             formula_valid=x <= CROSS_TERM_ATOL, violated=v, method="closed_form")
@@ -311,6 +322,6 @@ def noise_threshold(dim: int) -> ThresholdResult:
     k = 1
     # Certified at every (N, k): the cut-row sums of an isotropic state are
     # multiples of the identity, so the traceless Paulis give g = h = 0.
-    zero, one = _closed_forms([(IsotropicState(dim, x), k) for x in (0.0, 1.0)])  # rejects dim < 2
-    return ThresholdResult((zero.value - LHV_BOUND) / (zero.value - one.value),
-                           zero.value, k, one.value)
+    problems = [(IsotropicState(dim, x), k) for x in (0.0, 1.0)]  # rejects dim < 2
+    zero, one = _closed_values(problems)[2].tolist()
+    return ThresholdResult((zero - LHV_BOUND) / (zero - one), zero, k, one)

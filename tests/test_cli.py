@@ -331,7 +331,8 @@ def test_verify_passes_and_validates(capsys):
 
 def test_verify_batches_its_closed_forms(monkeypatch):
     # isotropic-monotone is one _spectra call (it was one per state, 202),
-    # and no check makes more than one closed-form call.
+    # and no check makes more than one closed-form call. verify reads values,
+    # not reports: every closed form it takes is a _closed_values batch.
     from bellmax import verify
 
     calls = Counter()
@@ -344,7 +345,7 @@ def test_verify_batches_its_closed_forms(monkeypatch):
 
     monkeypatch.setattr(violation, "_spectra", counted("spectra", violation._spectra))
     for module in (verify, violation):
-        monkeypatch.setattr(module, "_closed_forms", counted("closed", module._closed_forms))
+        monkeypatch.setattr(module, "_closed_values", counted("closed", module._closed_values))
     for samples in (2, 8):
         children = np.random.SeedSequence(samples).spawn(len(verify._CHECKS))
         for entry, child in zip(verify._CHECKS, children):
@@ -409,7 +410,7 @@ def test_verify_chains_the_closed_vs_seesaw_checks(monkeypatch, slice_size):
         return wrapper
 
     monkeypatch.setattr(verify, "_SLICE", slice_size)
-    for name in ("_closed_forms", "_seesaw_batch"):
+    for name in ("_closed_values", "_seesaw_batch"):
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
     for samples in (2, 8, 25):
         calls.clear()
@@ -421,7 +422,7 @@ def test_verify_chains_the_closed_vs_seesaw_checks(monkeypatch, slice_size):
         assert verify.run_all_checks(5, samples) == alone
         sizes = [min(slice_size, total - first) for first in range(0, total, slice_size)]
         assert calls == [(name, size) for size in sizes
-                         for name in ("_closed_forms", "_seesaw_batch")]
+                         for name in ("_closed_values", "_seesaw_batch")]
         if slice_size == 256:
             assert len(calls) == 2  # every chained problem in one slice
 
@@ -638,7 +639,7 @@ def test_verify_bell_value_identity_sees_a_shifted_reduction(monkeypatch):
 
 
 @pytest.mark.parametrize("target, check", [
-    ("_closed_forms", "product-state-ceiling"),  # the closed-form batch the check calls
+    ("_closed_values", "product-state-ceiling"),  # the closed-form batch the check calls
     ("_seesaw_batch", "closed-vs-seesaw-even"),  # the see-saw batch the check calls
 ])
 def test_verify_nan_deviation_fails(capsys, monkeypatch, target, check):
@@ -648,8 +649,11 @@ def test_verify_nan_deviation_fails(capsys, monkeypatch, target, check):
 
     original = getattr(verify, target)
 
-    def with_nan(*args, **kw):  # a batch: one result per problem
-        return [replace(row, value=math.nan) for row in original(*args, **kw)]
+    def with_nan(*args, **kw):  # a batch: one value or one row per problem
+        result = original(*args, **kw)
+        if target == "_closed_values":
+            return *result[:2], np.full_like(result[2], math.nan)
+        return [replace(row, value=math.nan) for row in result]
 
     monkeypatch.setattr(verify, target, with_nan)
     code, out, _err = run_cli(capsys, "verify", "--samples", "4", "--no-timestamp")
@@ -716,6 +720,36 @@ def test_verify_deterministic_bytes(capsys):
                              "--no-timestamp")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_parser_is_built_once_and_parses_afresh(capsys, example1, uncertified):
+    # One parser per process, and every call parses into a fresh namespace: a
+    # second pass over the six subcommands, each run after an argparse failure
+    # and a call that sets options, gives the first pass's bytes and exit codes.
+    # The manifest lists every option, so a value left over would show.
+    assert cli.build_parser() is cli.build_parser()
+
+    def run(*argv):
+        try:
+            code = cli.main([*argv, "--no-timestamp"])
+        except SystemExit as exc:  # argparse rejects its argv this way
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    jobs = [("violation", "--state", example1), ("scan-k", "--state", uncertified),
+            ("threshold", "--N", "3"), ("gamma", "--N", "3", "--axis", "pi"),
+            ("optimize", "--state", example1, "--k", "2", "--restarts", "2"),
+            ("verify", "--samples", "2")]
+    first = [run(*argv) for argv in jobs]
+    assert [code for code, _, _ in first] == [0] * len(jobs)
+    for argv, expected in zip(jobs, first):
+        failure = run("violation", "--state", example1, "--k", "x")
+        assert failure[0] == 2 and "argument --k" in failure[2]
+        both = run("violation", "--state", uncertified, "--k", "2", "--method", "both",
+                   "--seed", "3")
+        assert both[0] == 0 and '"method": "both"' in both[1]
+        assert run(*argv) == expected, argv[0]
 
 
 def test_manifest_embedded_everywhere(capsys, example1):

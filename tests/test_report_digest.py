@@ -17,7 +17,7 @@ def test_digests_do_not_depend_on_the_working_directory(tmp_path):
         runs.append(report_digest.digests(["density-oracle"], 1, [1], 1, str(tmp_path / sub)))
         assert not any((tmp_path / sub / report_digest.STATE_DIR).iterdir())
     assert runs[0] == runs[1]
-    assert set(runs[0]) == {"density-oracle", "optimize", "verify-seeds"}
+    assert set(runs[0]) == {"density-oracle", "optimize", "gamma", "verify-seeds"}
     other = report_digest.digests(["density-oracle"], 1, [7], 0, str(tmp_path / "first"))
     assert other["density-oracle"] != runs[0]["density-oracle"]
     assert other["optimize"] != runs[0]["optimize"]
@@ -35,3 +35,13 @@ def test_optimize_jobs_cover_every_density_input_both_ways():
             assert constrained.argv == free.argv + ("--constrain-y",)
             assert free.files == job.files
     assert lists[0]["optimize"] != lists[1]["optimize"]
+
+
+def test_gamma_jobs_cover_every_dimension_index_and_axis():
+    # gamma is the one subcommand no workload runs: its list holds every
+    # (N, k, axis) of N 2-9 once, in order, whatever the workloads asked for.
+    jobs = report_digest.job_lists([], 1, [1], 0)["gamma"]
+    seen = [(int(job.argv[2]), int(job.argv[4]), job.argv[6]) for job in jobs]
+    assert seen == [(n, k, axis) for n in range(2, 10) for k in range(1, n + 1)
+                    for axis in ("x", "y", "z", "pi")]
+    assert all(job.argv[0] == "gamma" and job.argv[-1] == "--no-timestamp" for job in jobs)

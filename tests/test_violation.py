@@ -468,6 +468,27 @@ def test_report_dict_shape():
     assert data["method"] == "closed_form"
 
 
+def test_report_with_slots_stays_a_frozen_dataclass():
+    # Slots make a report cheaper to build; setting a field still raises, and
+    # replace, equality, hashing and the to_dict keys behave as before.
+    from dataclasses import FrozenInstanceError, fields
+
+    rep = max_violation_closed_form(EXAMPLE_STATE, 2)
+    for name in ("value", "lhv_bound", "method"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(rep, name, 0.0)
+    # No other attribute either (Python 3.11 raises TypeError here for frozen slots).
+    with pytest.raises((AttributeError, TypeError)):
+        rep.extra = 0.0
+    assert not hasattr(rep, "__dict__")
+    moved = replace(rep, k=3, value=1.5)
+    assert (moved.k, moved.value, moved.lhv_bound, moved.tau1) == (3, 1.5, 2.0, rep.tau1)
+    assert moved != rep and replace(moved, k=2, value=rep.value) == rep
+    assert hash(replace(moved, k=2, value=rep.value)) == hash(rep)
+    assert moved.to_dict() == {f.name: getattr(moved, f.name) for f in fields(moved)}
+    assert list(moved.to_dict()) == [f.name for f in fields(moved)]
+
+
 # ---------------------------------------------------------------- best_k
 
 def test_best_k_example_state():
@@ -545,13 +566,13 @@ def test_threshold_makes_two_closed_form_calls(monkeypatch):
     # One closed form at each end of the line, both in one batch, for odd N
     # as for even N: no k is scanned.
     calls = []
-    closed_forms = violation._closed_forms
+    closed_values = violation._closed_values
 
     def counting(problems):
         calls.append([(state.x, k) for state, k in problems])
-        return closed_forms(problems)
+        return closed_values(problems)
 
-    monkeypatch.setattr(violation, "_closed_forms", counting)
+    monkeypatch.setattr(violation, "_closed_values", counting)
     for n in range(2, 13):
         calls.clear()
         noise_threshold(n)

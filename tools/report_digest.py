@@ -3,8 +3,9 @@
 Runs ``bellmax.cli.main`` in this process over blocks 0-3 under seeds 1 and 7
 of every workload in ``bench/workloads.py``, plus ``optimize`` on every
 density-oracle input (with and without ``--constrain-y``, so the digests see
-the settings, ``iterations_used`` and ``converged`` of the see-saw),
-``verify --seed 0..59`` and ``verify --seed 0 --samples 400``, whose
+the settings, ``iterations_used`` and ``converged`` of the see-saw), ``gamma``
+at N 2-9 for every k and axis (nested ``re``/``im`` lists, which no workload
+writes), ``verify --seed 0..59`` and ``verify --seed 0 --samples 400``, whose
 256-problem slices span the closed-vs-see-saw checks, and hashes each job's
 argv, exit code, stdout and stderr in job order. The inputs are written
 under the relative directory ``states`` of a temporary working directory, so
@@ -36,6 +37,8 @@ SEEDS = (1, 7)
 VERIFY_SEEDS = 60
 #: Restarts of each ``optimize`` job.
 OPTIMIZE_RESTARTS = 4
+#: The N of the ``gamma`` jobs, each at every k and axis.
+GAMMA_DIMS = range(2, 10)
 #: One verify job whose slices of closed-vs-see-saw problems span checks (about 1.2 s).
 SLICED_VERIFY = ("verify", "--seed", "0", "--samples", "400", "--no-timestamp")
 
@@ -48,6 +51,10 @@ def job_lists(names, blocks: int, seeds, verify_seeds: int,
              for name in names}
     if "density-oracle" in lists:
         lists["optimize"] = optimize_jobs(lists["density-oracle"])
+    lists["gamma"] = [workloads.Job(("gamma", "--N", str(n), "--k", str(k), "--axis", axis,
+                                     "--no-timestamp"), "gamma", {})
+                      for n in GAMMA_DIMS for k in range(1, n + 1)
+                      for axis in ("x", "y", "z", "pi")]
     if verify_seeds:
         lists["verify-seeds"] = [workloads.Job(("verify", "--seed", str(seed), "--no-timestamp"),
                                                "verify", {}) for seed in range(verify_seeds)]
