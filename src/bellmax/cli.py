@@ -214,7 +214,7 @@ def cmd_threshold(args) -> int:
         # The grid lies on the threshold's exact line: no closed form here.
         xs = np.linspace(0.0, 1.0, args.grid)
         values = (1.0 - xs) * result.value_at_zero + xs * result.value_at_one
-        grid_rows = [(float(x), float(v), result.k_used) for x, v in zip(xs, values)]
+        grid_rows = [(x, v, result.k_used) for x, v in zip(xs.tolist(), values.tolist())]
     if args.output == "csv":
         sys.stdout.write(reporting.grid_csv(grid_rows))
         return EXIT_OK
@@ -241,8 +241,8 @@ def cmd_gamma(args) -> int:
         "N": args.N,
         "k": args.k,
         "axis": args.axis,
-        "re": [[float(v) for v in row] for row in matrix.real],
-        "im": [[float(v) for v in row] for row in matrix.imag],
+        "re": matrix.real.tolist(),
+        "im": matrix.imag.tolist(),
     }
     sys.stdout.write(reporting.to_json(payload))
     return EXIT_OK
@@ -259,8 +259,7 @@ def cmd_optimize(args) -> int:
         "k": args.k,
         "value": result.value,
         "settings": {
-            **{name: [float(v) for v in getattr(settings, name)]
-               for name in ("a1", "a2", "b1", "b2")},
+            **{name: getattr(settings, name).tolist() for name in ("a1", "a2", "b1", "b2")},
             "k": settings.k,
         },
         "iterations_used": result.iterations_used,

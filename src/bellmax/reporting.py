@@ -44,10 +44,7 @@ def build_manifest(
 
 def to_json(payload: Any) -> str:
     """Pretty JSON with exact floats, 2-space indent and a trailing newline."""
-    pieces: list[str] = []
-    _emit(payload, 0, pieces)
-    pieces.append("\n")
-    return "".join(pieces)
+    return _text(payload, "") + "\n"
 
 
 #: How each kind of scalar is written, tried in this order. A string is written as
@@ -61,66 +58,56 @@ _WRITERS = {
 }
 
 
-def _scalar(value: Any) -> str | None:
-    """JSON text of a scalar report value; ``None`` for a dict, list or tuple."""
+def _text(value: Any, indent: str) -> str:
+    """JSON text of a report value whose first line starts at ``indent``."""
+    write = _WRITERS.get(type(value))
+    if write is not None:
+        return write(value)
     if isinstance(value, (np.floating, np.integer, np.bool_)):
-        value = value.item()
-    for kind, write in _WRITERS.items():
-        if isinstance(value, kind):
-            return write(value)
-    if isinstance(value, (dict, list, tuple)):
-        return None
-    raise TypeError(f"cannot serialise {type(value).__name__} into a report")
-
-
-def _emit(value: Any, level: int, out: list[str]) -> None:
-    text = _scalar(value)
-    if text is None and not isinstance(value, dict):
-        text = _rows(value, level)
-    if text is not None:
-        out.append(text)
-        return
+        value = value.item()  # written, or refused, by the loop below
+    inner = indent + "  "
     # One layout for both containers; an object's items lead with a key.
-    keyed = isinstance(value, dict)
-    items = ([(json.dumps(str(key)) + ": ", item) for key, item in value.items()]
-             if keyed else [("", item) for item in value])
-    brackets = "{}" if keyed else "[]"
+    if isinstance(value, dict):
+        items = [json.dumps(str(key)) + ": " + _text(item, inner) for key, item in value.items()]
+    elif isinstance(value, (list, tuple)):
+        table = _rows(value, indent)
+        if table is not None:
+            return table
+        items = [_text(item, inner) for item in value]
+    else:
+        for kind, write in _WRITERS.items():
+            if isinstance(value, kind):
+                return write(value)
+        raise TypeError(f"cannot serialise {type(value).__name__} into a report")
+    brackets = "{}" if isinstance(value, dict) else "[]"
     if not items:
-        out.append(brackets)
-        return
-    out.append(brackets[0] + "\n")
-    for index, (key, item) in enumerate(items):
-        out.append("  " * (level + 1) + key)
-        _emit(item, level + 1, out)
-        out.append(",\n" if index < len(items) - 1 else "\n")
-    out.append("  " * level + brackets[1])
+        return brackets
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
 
 
-def _rows(rows, level: int) -> str | None:
-    """``_emit``'s text of a list of flat dicts that share one tuple of string keys, a column
-    at a time and each row from one template whose key prefixes are built once; ``None`` for
-    any other list. A value that cannot be written also gives ``None``, so that ``_emit``
-    raises in document order."""
+def _rows(rows, indent: str) -> str | None:
+    """``_text`` of a list of flat dicts that share one tuple of string keys, a column at a
+    time and each row from one template whose key prefixes are built once; ``None`` for any
+    other list. A value that cannot be written also gives ``None``, so that ``_text`` raises
+    in document order."""
     if not rows or set(map(type, rows)) != {dict}:
         return None
     keys = tuple(rows[0])
     if not keys or not all(type(key) is str for key in keys) or set(map(tuple, rows)) != {keys}:
         return None
-    columns = []
+    row, cell, columns = indent + "  ", indent + "    ", []
     try:
         for column in zip(*map(dict.values, rows)):
             kinds = set(map(type, column))
             write = _WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
-            columns.append(list(map(write or _scalar, column)))
-            if write is None and None in columns[-1]:  # a nested container
-                return None
+            columns.append(list(map(write, column)) if write
+                           else [_text(value, cell) for value in column])
     except (TypeError, ValueError):
         return None
-    inner, indent = "\n" + "  " * (level + 2), "  " * (level + 1)
-    template = "{" + ",".join(inner + json.dumps(key).replace("%", "%%") + ": %s"
-                              for key in keys) + "\n" + indent + "}"
-    return ("[\n" + indent + (",\n" + indent).join(map(template.__mod__, zip(*columns)))
-            + "\n" + "  " * level + "]")
+    template = "{" + ",".join("\n" + cell + json.dumps(key).replace("%", "%%") + ": %s"
+                              for key in keys) + "\n" + row + "}"
+    return ("[\n" + row + (",\n" + row).join(map(template.__mod__, zip(*columns)))
+            + "\n" + indent + "]")
 
 
 def grid_csv(rows: list[tuple[float, float, int]]) -> str:

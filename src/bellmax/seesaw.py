@@ -134,12 +134,18 @@ def _value(m: np.ndarray, b_targets: np.ndarray, a: np.ndarray, b: np.ndarray) -
     return dots[0] + dots[1] + _sum3(a[:, 0] * m[:3, 3]) + m[3, 3]
 
 
+def _values_at(t: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """``_value`` of the moments ``T`` ``(rows, 4, 4)`` at ``(a1, a2, b1, b2)`` ``(rows, 4, 3)``."""
+    m, v = t.transpose(1, 2, 0) * _DOUBLED, directions.T
+    return _value(m, _targets(m, v[:, :2]), v[:, :2], v[:, 2:])
+
+
 def bell_value_from_correlations(corr: CorrelationData, settings: BellSettings) -> float:
     """Same expectation from the 3x3 correlation data (``_value``); it
     agrees with the direct trace to rounding, which the test suite asserts."""
-    m = np.block([[corr.r, corr.g[:, None]], [corr.h, corr.p]])[..., None] * _DOUBLED
-    v = np.array([settings.a1, settings.a2, settings.b1, settings.b2]).T[..., None]
-    return float(_value(m, _targets(m, v[:, :2]), v[:, :2], v[:, 2:])[0])
+    t = np.block([[corr.r, corr.g[:, None]], [corr.h, corr.p]])[None]
+    v = np.array([[settings.a1, settings.a2, settings.b1, settings.b2]])
+    return float(_values_at(t, v)[0])
 
 
 def _surface(m: np.ndarray, b: np.ndarray):

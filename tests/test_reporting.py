@@ -104,6 +104,8 @@ def payloads(values):
 @example([{1: 2}, {1: 3}])  # keys that are not strings
 @example([{"a": [1.5, -0.0]}, {"a": 2}])  # a nested list in a row
 @example({"rows": [{"x": np.float64(0.5), "n": np.int64(3)}] * 3, "empty": [[], {}]})
+@example([{"a": [1.5, {"b": [{"c": 1}, {"c": 2}]}], "k": 1}, {"a": {}, "k": 2}])  # containers
+@example([{"a": [2.5], "k": 1}, {"a": 0.5, "k": 2}, {"a": (), "k": 3}])  # containers and scalars
 def test_to_json_writes_the_reference_bytes(payload):
     assert reporting.to_json(payload) == reference_to_json(payload)
 
@@ -113,6 +115,9 @@ def test_to_json_writes_the_reference_bytes(payload):
 @example([{"a": 1.0, "b": math.nan}, {"a": math.inf, "b": 1.0}])  # nan comes first
 @example([{"a": [math.nan], "b": {1}}])  # the nested nan comes before the set
 @example([{"a": {1}, "b": math.inf}])
+@example([{"a": {1}, "b": [math.nan]}, {"a": 1.0, "b": []}])  # a set, then a nested nan
+@example([{"a": 1.0, "b": [math.nan]}, {"a": {1}, "b": []}])  # the nested nan before the set
+@example([{"a": np.longdouble(0.5)}])  # item() keeps an extended precision float
 def test_to_json_raises_the_reference_error(payload):
     assert outcome(reporting.to_json, payload) == outcome(reference_to_json, payload)
 
@@ -122,3 +127,14 @@ def test_non_finite_row_value_is_refused(value):
     rows = [{"value": 1.0, "k": 1}, {"value": value, "k": 2}]
     with pytest.raises(ValueError, match="reports cannot contain non-finite numbers"):
         reporting.to_json({"results": rows})
+
+
+def test_each_value_is_formatted_once(monkeypatch):
+    # A float column before a list-valued one: the table writes each float once, the
+    # nested ones through the same writer, and never walks the list a second time.
+    calls = []
+    monkeypatch.setitem(reporting._WRITERS, float,
+                        lambda value: calls.append(value) or format_float(value))
+    payload = [{"b": 2.0, "a": [1.5]}, {"b": 3.0, "a": []}]
+    assert reporting.to_json(payload) == reference_to_json(payload)
+    assert sorted(calls) == [1.5, 2.0, 3.0]
