@@ -154,6 +154,12 @@ def _manifest(args) -> dict:
     )
 
 
+def _write(args, body: dict) -> int:
+    """Write the JSON report of ``args``: its manifest, then ``body``."""
+    sys.stdout.write(reporting.to_json({"manifest": _manifest(args), **body}))
+    return EXIT_OK
+
+
 def _read_state(path: str) -> QuantumState:
     return load_state(Path(path).read_text(encoding="utf-8"))
 
@@ -171,23 +177,17 @@ def cmd_violation(args) -> int:
     # best_k's choice, with the see-saw it ran if no report is certified
     chosen = best_k(state, cfg=cfg, reports=reports)
     closed = next(rep for rep in reports if rep.k == chosen.k)
-    manifest = _manifest(args)
     if args.method == "closed":
-        sys.stdout.write(reporting.to_json({"manifest": manifest, **closed.to_dict()}))
-        return EXIT_OK
+        return _write(args, closed.to_dict())
     oracle = chosen if chosen.method == "oracle" else oracle_report(
         closed, seesaw_maximize(state, closed.k, cfg))
     if args.method == "oracle":
-        payload = {"manifest": manifest, **oracle.to_dict()}
-    else:
-        payload = {
-            "manifest": manifest,
-            "closed_form": closed.to_dict(),
-            "oracle": oracle.to_dict(),
-            "abs_difference": abs(closed.value - oracle.value),
-        }
-    sys.stdout.write(reporting.to_json(payload))
-    return EXIT_OK
+        return _write(args, oracle.to_dict())
+    return _write(args, {
+        "closed_form": closed.to_dict(),
+        "oracle": oracle.to_dict(),
+        "abs_difference": abs(closed.value - oracle.value),
+    })
 
 
 def cmd_scan_k(args) -> int:
@@ -195,57 +195,47 @@ def cmd_scan_k(args) -> int:
     cfg = SeesawConfig(seed=args.seed)
     reports = scan_k(state)
     best = best_k(state, cfg=cfg, reports=reports)
-    payload = {
-        "manifest": _manifest(args),
+    return _write(args, {
         "N": state.dim,
         "results": [rep.to_dict() for rep in reports],
         "best": best.to_dict(),
-    }
-    sys.stdout.write(reporting.to_json(payload))
-    return EXIT_OK
+    })
 
 
 def cmd_threshold(args) -> int:
     if args.grid is not None and not 2 <= args.grid <= MAX_GRID_POINTS:
         raise ValueError(f"--grid needs 2..{MAX_GRID_POINTS} points, got {args.grid}")
     result = noise_threshold(args.N)
-    grid_rows = None
-    if args.grid is not None:
-        # The grid lies on the threshold's exact line: no closed form here.
-        xs = np.linspace(0.0, 1.0, args.grid)
-        values = (1.0 - xs) * result.value_at_zero + xs * result.value_at_one
-        grid_rows = [(x, v, result.k_used) for x, v in zip(xs.tolist(), values.tolist())]
-    if args.output == "csv":
-        sys.stdout.write(reporting.grid_csv(grid_rows))
-        return EXIT_OK
-    payload = {
-        "manifest": _manifest(args),
+    body = {
         "N": args.N,
         "k_used": result.k_used,
         "x_star": result.x_star,
         "value_at_zero": result.value_at_zero,
     }
     if args.N == 3:
-        payload["paper_reference_value"] = PUBLISHED_N3_THRESHOLD
-    if grid_rows is not None:
-        payload["grid"] = [{"x": x, "value": v, "k": k} for x, v, k in grid_rows]
-    sys.stdout.write(reporting.to_json(payload))
-    return EXIT_OK
+        body["paper_reference_value"] = PUBLISHED_N3_THRESHOLD
+    if args.grid is not None:
+        # The grid lies on the threshold's exact line: no closed form here.
+        xs = np.linspace(0.0, 1.0, args.grid)
+        values = (1.0 - xs) * result.value_at_zero + xs * result.value_at_one
+        body["grid"] = [{"x": x, "value": v, "k": result.k_used}
+                        for x, v in zip(xs.tolist(), values.tolist())]
+    if args.output == "csv":
+        sys.stdout.write(reporting.grid_csv(body["grid"]))
+        return EXIT_OK
+    return _write(args, body)
 
 
 def cmd_gamma(args) -> int:
     gamma = make_gamma_set(args.N, args.k)
     matrix = {"x": gamma.gx, "y": gamma.gy, "z": gamma.gz, "pi": gamma.pi}[args.axis]
-    payload = {
-        "manifest": _manifest(args),
+    return _write(args, {
         "N": args.N,
         "k": args.k,
         "axis": args.axis,
         "re": matrix.real.tolist(),
         "im": matrix.imag.tolist(),
-    }
-    sys.stdout.write(reporting.to_json(payload))
-    return EXIT_OK
+    })
 
 
 def cmd_optimize(args) -> int:
@@ -254,8 +244,7 @@ def cmd_optimize(args) -> int:
                        tol=args.tol, seed=args.seed)
     result = seesaw_maximize(state, args.k, cfg, constrain_y=args.constrain_y)
     settings = result.settings
-    payload = {
-        "manifest": _manifest(args),
+    return _write(args, {
         "k": args.k,
         "value": result.value,
         "settings": {
@@ -265,30 +254,22 @@ def cmd_optimize(args) -> int:
         "iterations_used": result.iterations_used,
         "restarts_used": result.restarts_used,
         "converged": result.converged,
-    }
-    sys.stdout.write(reporting.to_json(payload))
-    return EXIT_OK
+    })
 
 
 def cmd_verify(args) -> int:
     results = run_all_checks(args.seed, args.samples)
     failed = [r for r in results if not r.passed]
-    payload = {
-        "manifest": _manifest(args),
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in results
-        ],
+    _write(args, {
+        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
         "total": len(results),
         "passed": len(results) - len(failed),
         "failed": len(failed),
-    }
-    sys.stdout.write(reporting.to_json(payload))
-    if failed:
-        first = failed[0]
-        print(f"verify failed: {first.name}: {first.detail}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    })
+    if not failed:
+        return EXIT_OK
+    print(f"verify failed: {failed[0].name}: {failed[0].detail}", file=sys.stderr)
+    return EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:

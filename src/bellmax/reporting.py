@@ -110,9 +110,10 @@ def _rows(rows, indent: str) -> str | None:
             + "\n" + indent + "]")
 
 
-def grid_csv(rows: list[tuple[float, float, int]]) -> str:
-    """CSV grid with header ``x,value,k`` and LF line endings."""
+def grid_csv(rows: list[dict]) -> str:
+    """CSV of the ``{"x", "value", "k"}`` grid rows of a threshold report: header
+    ``x,value,k`` and LF line endings."""
     lines = ["x,value,k"]
-    for x, value, k in rows:
-        lines.append(f"{format_float(x)},{format_float(value)},{k}")
+    for row in rows:
+        lines.append(f"{format_float(row['x'])},{format_float(row['value'])},{row['k']}")
     return "\n".join(lines) + "\n"

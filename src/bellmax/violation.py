@@ -27,7 +27,8 @@ import numpy as np
 
 from .linalg import sym3_eig
 from .operators import BellSettings, _entries
-from .states import DensityMatrix, DomainError, IsotropicState, QuantumState, SchmidtState
+from .states import (DENSITY_HERMITIAN_ATOL, DensityMatrix, DomainError, IsotropicState,
+                     QuantumState, SchmidtState)
 # Unused here; kept because the traced bench wraps them (ROADMAP direction 2).
 from .operators import make_gamma_set  # noqa: F401
 from .states import as_density  # noqa: F401
@@ -114,14 +115,17 @@ def _moments(problems) -> np.ndarray:
         if not issubclass(family, (DensityMatrix, SchmidtState, IsotropicState)):
             raise TypeError(f"not a quantum state: {family.__name__}")
     t = np.empty((len(problems), 4, 4), complex)
-    for group in groups.values():
+    for (family, n), group in groups.items():
+        # Traces of Hermitian products are real up to rounding. A density may keep an admitted
+        # anti-Hermitian part, of entries up to DENSITY_HERMITIAN_ATOL / 2, whose L^2 gathered
+        # entries (L = 2N - N mod 2) meet weights |C| <= 1: L^2 DENSITY_HERMITIAN_ATOL / 2 more.
+        limit = 1e-9 + ((2 * n - n % 2) ** 2 * DENSITY_HERMITIAN_ATOL / 2
+                        if issubclass(family, DensityMatrix) else 0.0)
         step = max(1, _CHUNK_BYTES // _row_bytes(problems[group[0]][0]))
         for rows in (group[start:start + step] for start in range(0, len(group), step)):
-            t[rows] = _chunk_moments(*zip(*(problems[i][:2] for i in rows)))
-    # Traces of Hermitian products are real; tolerate rounding only.
-    imag = float(np.abs(t.imag).max())
-    if imag > 1e-9:
-        raise ArithmeticError(f"expected real traces, got imaginary parts up to {imag:.3e}")
+            t[rows] = chunk = _chunk_moments(*zip(*(problems[i][:2] for i in rows)))
+            if (imag := float(np.abs(chunk.imag).max())) > limit:
+                raise ArithmeticError(f"expected real traces, got imaginary parts up to {imag:.3e}")
     return t.real
 
 
@@ -152,18 +156,21 @@ def _chunk_moments(states, ks) -> np.ndarray:
     return t
 
 
-def _spectra(problems):
+def _closed_values(problems):
     """``T`` of every ``(state, k, ...)`` problem, ``(tau1, tau2)``: the two largest eigenvalues
-    of its ``R^T R`` floored at 0, and the eigenvectors of ``R^T R``, descending, as columns."""
+    of its ``R^T R`` floored at 0, the eigenvectors of ``R^T R``, descending, as columns, and
+    the closed form ``2 sqrt(tau1 + tau2) + 2p``, from one ``_moments`` batch and one stacked
+    ``sym3_eig``."""
     t = _moments(problems)
     r = t[:, :3, :3]
     values, vectors = sym3_eig(r.swapaxes(1, 2) @ r)
-    return t, np.maximum(values[:, :2], 0.0), vectors
+    tau = np.maximum(values[:, :2], 0.0)
+    return t, tau, vectors, 2.0 * np.sqrt(tau[:, 0] + tau[:, 1]) + 2.0 * t[:, 3, 3]
 
 
 def correlation_data(state: QuantumState, k: int) -> CorrelationData:
     """Exact ``R``, ``g``, ``h``, ``p`` and ``R^T R`` eigenpairs for (state, k), read-only."""
-    t, tau, vectors = (a[0] for a in _spectra([(state, k)]))
+    t, tau, vectors, _ = (a[0] for a in _closed_values([(state, k)]))
     r, g, h = (block.copy() for block in (t[:3, :3], t[:3, 3], t[3, :3]))
     for block in (r, g, h, vectors):
         block.setflags(write=False)
@@ -209,18 +216,11 @@ def optimal_settings(corr: CorrelationData) -> BellSettings:
     return BellSettings(a1, a2, b1, b2, k=corr.k)
 
 
-def _closed_values(problems):
-    """``T``, ``(tau1, tau2)`` and the closed form ``2 sqrt(tau1 + tau2) + 2p`` of every
-    ``(state, k, ...)`` problem, from one ``_spectra`` batch."""
-    t, tau, _ = _spectra(problems)
-    return t, tau, 2.0 * np.sqrt(tau[:, 0] + tau[:, 1]) + 2.0 * t[:, 3, 3]
-
-
 def _closed_forms(problems) -> list[ViolationReport]:
     """Closed-form reports (``_closed_values``) for every ``(state, k, ...)`` problem.
     ``formula_valid``: the projector cross terms vanish (a NaN does not), exactly
     so for even N (zero projector) and Schmidt states; else prefer an oracle."""
-    t, tau, values = _closed_values(problems)
+    t, tau, _, values = _closed_values(problems)
     cross = np.maximum(np.abs(t[:, :3, 3]), np.abs(t[:, 3, :3])).max(axis=1)
     return [ViolationReport(value=value, tau1=tau1, tau2=tau2, pi_term=2.0 * p, k=problem[1],
                             formula_valid=x <= CROSS_TERM_ATOL, violated=v, method="closed_form")
@@ -323,5 +323,5 @@ def noise_threshold(dim: int) -> ThresholdResult:
     # Certified at every (N, k): the cut-row sums of an isotropic state are
     # multiples of the identity, so the traceless Paulis give g = h = 0.
     problems = [(IsotropicState(dim, x), k) for x in (0.0, 1.0)]  # rejects dim < 2
-    zero, one = _closed_values(problems)[2].tolist()
+    zero, one = _closed_values(problems)[-1].tolist()
     return ThresholdResult((zero - LHV_BOUND) / (zero - one), zero, k, one)

@@ -189,6 +189,21 @@ def test_threshold_grid_json(capsys):
         assert payload["grid"][-1]["value"] == line.value_at_one
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_threshold_csv_and_json_grids_hold_the_same_rows(capsys, n):
+    # Both reports write one list of grid rows: the same (x, value, k), bit for bit.
+    for points in (2, 11, 51):
+        argv = ("threshold", "--N", str(n), "--grid", str(points), "--no-timestamp")
+        code, out, _ = run_cli(capsys, *argv, "--output", "csv")
+        assert code == 0
+        csv_rows = [(float(x).hex(), float(value).hex(), int(k))
+                    for x, value, k in (line.split(",") for line in out.splitlines()[1:])]
+        json_rows = [(float(row["x"]).hex(), float(row["value"]).hex(), row["k"])
+                     for row in run_json(capsys, *argv)["grid"]]
+        assert len(csv_rows) == points
+        assert csv_rows == json_rows
+
+
 def test_negative_seed_rejected_when_parsed(capsys, example1, uncertified):
     # Every subcommand refuses --seed -2 at parse time, whether or not its
     # work would draw random numbers: a certified scan-k draws none.
@@ -330,7 +345,7 @@ def test_verify_passes_and_validates(capsys):
 
 
 def test_verify_batches_its_closed_forms(monkeypatch):
-    # isotropic-monotone is one _spectra call (it was one per state, 202),
+    # isotropic-monotone is one _moments call (it was one per state, 202),
     # and no check makes more than one closed-form call. verify reads values,
     # not reports: every closed form it takes is a _closed_values batch.
     from bellmax import verify
@@ -343,7 +358,7 @@ def test_verify_batches_its_closed_forms(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(violation, "_spectra", counted("spectra", violation._spectra))
+    monkeypatch.setattr(violation, "_moments", counted("moments", violation._moments))
     for module in (verify, violation):
         monkeypatch.setattr(module, "_closed_values", counted("closed", module._closed_values))
     for samples in (2, 8):
@@ -353,7 +368,7 @@ def test_verify_batches_its_closed_forms(monkeypatch):
             assert verify._run(*entry, np.random.default_rng(child), samples).passed
             assert calls["closed"] <= 1, entry[0]
             if entry[0] == "isotropic-monotone":
-                assert calls == {"closed": 1, "spectra": 1}
+                assert calls == {"closed": 1, "moments": 1}
 
 
 def test_verify_memory_is_flat_in_samples():
@@ -488,6 +503,30 @@ def test_verify_seesaw_determinism_sees_a_perturbed_chained_row(monkeypatch, per
     assert records[index] == verify.CheckResult(
         "seesaw-determinism", False, "repeat run diverged")
     assert records[:index] + records[index + 1:] == clean[:index] + clean[index + 1:]
+
+
+def test_verify_seesaw_determinism_sees_a_sign_bit(monkeypatch):
+    # With constrain_y the y parts of the settings are exactly zero. A repeat whose
+    # a1 y part is the other zero is equal in value, not in bits, and fails the check.
+    from bellmax import sampling, verify
+
+    case = (sampling.schmidt_state(np.random.default_rng(5), 3), 3,
+            seesaw.SeesawConfig(restarts=2, seed=1))
+    first = (case, True, seesaw._seesaw_batch([case], True)[0])
+    assert first[2].settings.a1[1] == 0.0
+    record = verify.check_seesaw_determinism(None, 1, first=first)
+    assert record == verify.CheckResult("seesaw-determinism", True, "bit-identical repeat")
+    original = verify.seesaw_maximize
+
+    def flipping_the_sign(*args, **kw):
+        result = original(*args, **kw)
+        a1 = result.settings.a1.copy()
+        a1[1] = -a1[1]
+        return replace(result, settings=replace(result.settings, a1=a1))
+
+    monkeypatch.setattr(verify, "seesaw_maximize", flipping_the_sign)
+    record = verify.check_seesaw_determinism(None, 1, first=first)
+    assert record == verify.CheckResult("seesaw-determinism", False, "repeat run diverged")
 
 
 @pytest.mark.parametrize("samples", [2, 25])
@@ -652,7 +691,7 @@ def test_verify_nan_deviation_fails(capsys, monkeypatch, target, check):
     def with_nan(*args, **kw):  # a batch: one value or one row per problem
         result = original(*args, **kw)
         if target == "_closed_values":
-            return *result[:2], np.full_like(result[2], math.nan)
+            return *result[:-1], np.full_like(result[-1], math.nan)
         return [replace(row, value=math.nan) for row in result]
 
     monkeypatch.setattr(verify, target, with_nan)
@@ -711,6 +750,39 @@ def test_internal_error_exits_5(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "verify", "--no-timestamp")
         assert code == expected
         assert out == "" and str(error) in err
+
+
+def _near_hermitian_density(tmp_path, n):
+    # A Wishart density plus 0.49e-9 i S, S real symmetric with a zero diagonal and
+    # max |S| = 1: its asymmetry, 0.98e-9, is within DENSITY_HERMITIAN_ATOL.
+    from bellmax import sampling
+
+    rng = np.random.default_rng(0)
+    rho = sampling.mixed_density(rng, n).rho
+    s = rng.uniform(-1.0, 1.0, size=rho.shape)
+    s += s.T
+    np.fill_diagonal(s, 0.0)
+    rho = rho + 0.49e-9j * s / np.abs(s).max()
+    path = tmp_path / f"near_hermitian_{n}.json"
+    path.write_text(json.dumps({"type": "density", "N": n,
+                                "re": rho.real.tolist(), "im": rho.imag.tolist()}))
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [2, 5, 7])
+def test_admitted_density_is_no_internal_error(capsys, monkeypatch, tmp_path, n):
+    # A density that load_state admits keeps its anti-Hermitian part, whose traces are
+    # imaginary: the moments allow for it, and the reports are schema-valid. A gather
+    # that is far from Hermitian is still an internal error.
+    path = _near_hermitian_density(tmp_path, n)
+    run_json(capsys, "scan-k", "--state", path, "--no-timestamp")
+    run_json(capsys, "violation", "--state", path, "--method", "both", "--no-timestamp")
+    chunk_moments = violation._chunk_moments
+    monkeypatch.setattr(violation, "_chunk_moments",
+                        lambda *args: chunk_moments(*args) + 1e-3j)
+    code, out, err = run_cli(capsys, "scan-k", "--state", path, "--no-timestamp")
+    assert code == 5
+    assert out == "" and "expected real traces" in err
 
 
 def test_verify_deterministic_bytes(capsys):

@@ -218,13 +218,13 @@ def test_problem_batch_rows_equal_one_problem_calls(specs, seed, chunk_rows):
     problems = [(state, int(k)) for state in states for k in rng.integers(1, state.dim + 1, 3)]
     problems += [problems[i] for i in rng.integers(0, len(problems), 2)]
     problems = [problems[i] for i in rng.permutation(len(problems))]
-    singles = [violation._spectra([problem]) for problem in problems]
+    singles = [violation._closed_values([problem]) for problem in problems]
     reports = [max_violation_closed_form(state, k) for state, k in problems]
     with pytest.MonkeyPatch.context() as patch:
         if chunk_rows:
             smallest = min(violation._row_bytes(state) for state in states)
             patch.setattr(violation, "_CHUNK_BYTES", chunk_rows * smallest)
-        batch = violation._spectra(problems)
+        batch = violation._closed_values(problems)
         assert violation._closed_forms(problems) == reports
     for single, stacked in zip(zip(*singles), batch):
         assert np.array_equal(np.concatenate(single), stacked)
@@ -255,7 +255,7 @@ def test_interleaved_states_group_once(monkeypatch):
     a, b, c = (sampling.schmidt_state(rng, n) for n in (5, 5, 7))
     density, iso = sampling.mixed_density(rng, 4), IsotropicState(3, 0.4)
     problems = [(a, 1), (b, 2), (density, 3), (a, 3), (iso, 2), (c, 6), (b, 4), (a, 5)]
-    singles = [violation._spectra([problem]) for problem in problems]
+    singles = [violation._closed_values([problem]) for problem in problems]
     calls = []
     entries = violation._entries
 
@@ -272,7 +272,7 @@ def test_interleaved_states_group_once(monkeypatch):
                  (7, [6])])):
         monkeypatch.setattr(violation, "_CHUNK_BYTES", chunk_bytes)
         calls.clear()
-        batch = violation._spectra(problems)
+        batch = violation._closed_values(problems)
         assert calls == expected
         for single, stacked in zip(zip(*singles), batch):
             assert np.array_equal(np.concatenate(single), stacked)
