@@ -20,8 +20,8 @@ of the chained cases of its closed-vs-see-saw checks, with ``constrain_y`` per p
 
 A row sees its state only through the moments ``T`` of ``violation._moments``, as one
 moment stack ``m`` ``(4, 4, rows)``: ``m[:3, :3] = R``, ``m[:3, 3] = 2g``, ``m[3, :3] =
-2h``, ``m[3, 3] = 2p``. Swapping the parties transposes ``m``: ``_targets(m, a)`` gives
-the b-step targets, ``_targets(m.swapaxes(0, 1), b)`` the a-step targets.
+2h``, ``m[3, 3] = 2p``, cut into a ``_Stack`` ``s``: ``_targets(s, a)`` gives the b-step
+targets, ``_targets(s, b, 1)`` the a-step targets, those of the transposed ``m``.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ _NORM_FLOOR = 1e-150
 
 #: Signs of ``v``'s derivative along the four tangents.
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
-_SIGN_PAIRS = (_SIGNS * _SIGNS.T)[..., None]
-_PLUS_MINUS = np.array([[1.0], [-1.0]])  # o1 + o2 and o1 - o2 in _targets
+#: Signs of the two halves of the Hessian: ``W^T P_u W`` and ``s W^T P_v W s``.
+_HALF_SIGNS = np.stack((np.ones((4, 4)), _SIGNS * _SIGNS.T))[..., None]
 #: Factors from the moments ``T`` to the moment stack: 1 on ``R``, 2 on ``g``, ``h``, ``p``.
 _DOUBLED = np.pad(np.ones((3, 3)), (0, 1), constant_values=2.0)[..., None]
 
@@ -96,15 +96,47 @@ def bell_value(state: QuantumState, settings: BellSettings) -> float:
     return float(complex(np.einsum("rc,cr->", rho.rho, operator)).real)
 
 
-def _targets(m: np.ndarray, other: np.ndarray) -> np.ndarray:
+class _Stack:
+    """A moment stack ``m`` ``(4, 4, n)`` cut once into the rows of ``cuts`` ``(31, n)``, which
+    ``s[..., rows]`` indexes, with the buffers of ``_targets`` and ``_dots`` and their views:
+    ``r`` holds ``R`` and ``R^T`` ``(3, 3, 1, n)``, whose first axes ``_targets`` sums over,
+    and ``shifts`` ``(2h, -0.0)`` and ``(2g, -0.0)`` ``(3, 2, n)``, which it adds to both
+    targets in one call (``x + -0.0`` is ``x``, bit for bit); ``p`` is ``2p``."""
+
+    def __init__(self, cuts: np.ndarray):
+        self.cuts, self.p, n = cuts, cuts[30], cuts.shape[-1]
+        r, shifts = cuts[:18].reshape(2, 3, 3, 1, n), cuts[18:30].reshape(2, 3, 2, n)
+        self.r, self.shifts = (r[0], r[1]), (shifts[0], shifts[1])
+        self.pairs, self.product, terms, self.dots = (
+            np.empty((3, 1, 2, n)), np.empty((3, 3, 2, n)), np.empty((3, 3, n)), np.empty((3, n)))
+        self.sums, self.differences = self.pairs[:, 0, 0], self.pairs[:, 0, 1]
+        self.products = self.product[0], self.product[1], self.product[2]
+        self.terms = terms[:, :2], terms[:, 2], terms[0], terms[1], terms[2]
+
+    @classmethod
+    def cut(cls, m: np.ndarray) -> _Stack:
+        s = cls(np.full((31, m.shape[-1]), -0.0))
+        (r, r_t), (h, g) = s.r, s.shifts
+        r[..., 0, :], r_t[..., 0, :], h[:, 0], g[:, 0], s.p[...] = (
+            m[:3, :3], m[:3, :3].swapaxes(0, 1), m[3, :3], m[:3, 3], m[3, 3])
+        return s
+
+    def __getitem__(self, rows) -> _Stack:
+        return _Stack(self.cuts[rows])
+
+
+def _targets(s: _Stack, other: np.ndarray, side: int = 0, out=None) -> np.ndarray:
     """The b-step targets ``(R^T(o1 + o2) + 2h, R^T(o1 - o2))`` for the other party's pairs
-    ``(o1, o2)``, ``(3, 2, rows)``; on ``m.swapaxes(0, 1)``, the a-step targets ``(R(o1 + o2)
-    + 2g, R(o1 - o2))``."""
-    pairs = (other[:, :1] + _PLUS_MINUS * other[:, 1:])[:, None]
-    # C order: the default follows the strides of m.swapaxes(0, 1) and slows what follows.
-    target = _sum3(np.multiply(m[:3, :3, None], pairs, order="C"))
-    target[:, 0] += m[3, :3]
-    return target
+    ``(o1, o2)``, ``(3, 2, rows)``; at ``side`` 1, the a-step targets ``(R(o1 + o2) + 2g,
+    R(o1 - o2))``. Into ``out`` if given."""
+    first, second = other[:, 0], other[:, 1]
+    np.add(first, second, s.sums)
+    np.subtract(first, second, s.differences)
+    np.multiply(s.r[side], s.pairs, s.product)
+    first, second, third = s.products
+    out = np.add(first, second, out)
+    out += third
+    return np.add(out, s.shifts[side], out)
 
 
 def _sum4(x: np.ndarray) -> np.ndarray:
@@ -127,17 +159,25 @@ def _basis(b: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _value(m: np.ndarray, b_targets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _dots(s: _Stack, x: np.ndarray, y: np.ndarray, first: np.ndarray, shift: np.ndarray):
+    """``(x1.y1, x2.y2, first.shift)`` of the pairs ``x``, ``y`` ``(3, 2, n)``, in ``s.dots``."""
+    pair_terms, shift_terms, one, two, three = s.terms
+    np.multiply(x, y, pair_terms)
+    np.multiply(first, shift, shift_terms)
+    return np.add(np.add(one, two, s.dots), three, s.dots)
+
+
+def _value(s: _Stack, b_targets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a1.R(b1+b2) + a2.R(b1-b2) + 2 a1.g + 2 b1.h + 2p``, as ``b1.t1 + b2.t2 + 2 a1.g
     + 2p`` with the b-step targets ``(t1, t2) = (R^T(a1+a2) + 2h, R^T(a1-a2))``."""
-    dots = _sum3(b * b_targets)
-    return dots[0] + dots[1] + _sum3(a[:, 0] * m[:3, 3]) + m[3, 3]
+    dots = _dots(s, b, b_targets, a[:, 0], s.shifts[1][:, 0])
+    return dots[0] + dots[1] + dots[2] + s.p
 
 
 def _values_at(t: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """``_value`` of the moments ``T`` ``(rows, 4, 4)`` at ``(a1, a2, b1, b2)`` ``(rows, 4, 3)``."""
-    m, v = t.transpose(1, 2, 0) * _DOUBLED, directions.T
-    return _value(m, _targets(m, v[:, :2]), v[:, :2], v[:, 2:])
+    s, v = _Stack.cut(t.transpose(1, 2, 0) * _DOUBLED), directions.T
+    return _value(s, _targets(s, v[:, :2]), v[:, :2], v[:, 2:])
 
 
 def bell_value_from_correlations(corr: CorrelationData, settings: BellSettings) -> float:
@@ -148,17 +188,18 @@ def bell_value_from_correlations(corr: CorrelationData, settings: BellSettings) 
     return float(_values_at(t, v)[0])
 
 
-def _surface(m: np.ndarray, b: np.ndarray):
+def _surface(s: _Stack, b: np.ndarray):
     """The value at the best ``a`` for the pairs ``b = (b1, b2)``, ``(3, 2, n)``:
     ``F(b1, b2) = |u| + |v| + 2 b1.h + 2p`` with ``(u, v) = (R(b1+b2) + 2g, R(b1-b2))``,
     which ``a = (u/|u|, v/|v|)`` attains. Returns ``F``, ``(u, v)`` and ``(|u|, |v|)``."""
-    uv = _targets(m.swapaxes(0, 1), b)
-    norms = np.sqrt(_sum3(uv * uv))
-    return norms[0] + norms[1] + _sum3(b[:, 0] * m[3, :3]) + m[3, 3], uv, norms
+    uv = _targets(s, b, 1)
+    dots = _dots(s, uv, uv, b[:, 0], s.shifts[0][:, 0])
+    norms = np.sqrt(dots[:2])
+    return norms[0] + norms[1] + dots[2] + s.p, uv, norms
 
 
-def _newton_parts(m: np.ndarray, b: np.ndarray, surface):
-    """``F`` and ``(u, v)`` of ``surface = _surface(m, b)`` with the Riemannian gradient and
+def _newton_parts(s: _Stack, b: np.ndarray, surface):
+    """``F`` and ``(u, v)`` of ``surface = _surface(s, b)`` with the Riemannian gradient and
     Hessian of ``F`` on the product of the two spheres, in the tangent basis ``_basis(b)``:
     two unit vectors orthogonal to ``b1``, then two orthogonal to ``b2``. With ``W = R basis`` and
     ``s = (1, 1, -1, -1)``, the gradient is ``W^T u^ + s W^T v^ + (basis^T 2h, 0)`` and the
@@ -169,19 +210,21 @@ def _newton_parts(m: np.ndarray, b: np.ndarray, surface):
     f, uv, norms = surface
     norms = np.maximum(norms, _NORM_FLOOR)
     unit = uv / norms
-    euclid = _targets(m, unit)
+    euclid = _targets(s, unit)
     basis = _basis(b)
-    w = _sum3(np.multiply(m.swapaxes(0, 1)[:3, :3, None], basis.reshape(3, 1, 4, -1), order="C"))
-    wu, wv = _sum3(w * unit[:, :1]), _sum3(w * unit[:, 1:]) * _SIGNS
+    w = _sum3(s.r[1] * basis.reshape(3, 1, 4, -1))
+    wuv = _sum3(w[:, None] * unit[:, :, None])  # (W^T u^, W^T v^)
+    wuv[1] *= _SIGNS
     grad = _sum3(basis * euclid[:, :, None]).reshape(4, -1)
     ww = _sum3(w[:, :, None] * w[:, None])
-    hess = (ww - wu[:, None] * wu) / norms[0] + (_SIGN_PAIRS * ww - wv[:, None] * wv) / norms[1]
+    halves = (_HALF_SIGNS * ww - wuv[:, :, None] * wuv[:, None]) / norms[:, None, None]
+    hess = halves[0] + halves[1]
     diagonal = hess.reshape(16, -1)[::5].reshape(2, 2, -1)  # a view: hess is C-contiguous
     diagonal -= _sum3(b * euclid)[:, None]
     return f, uv, grad, hess, basis, euclid
 
 
-def _line_search(m: np.ndarray, b: np.ndarray, move: np.ndarray, euclid: np.ndarray, f):
+def _line_search(s: _Stack, b: np.ndarray, move: np.ndarray, euclid: np.ndarray, f):
     """The next pairs from ``b`` along the Newton steps ``move``, both ``(3, 2, n)``, and their
     ``_surface``: the first candidate that raises ``F`` above ``f``, else the see-saw step
     ``unit(euclid)``. The candidates are ``b + s move`` back on the spheres at each length
@@ -193,18 +236,19 @@ def _line_search(m: np.ndarray, b: np.ndarray, move: np.ndarray, euclid: np.ndar
     it returns to the ridge (a second-order correction)."""
     taken = b + move
     taken /= np.sqrt(_sum3(taken * taken))  # a norm is +0 or more, or NaN: no floor needed
-    surface = _surface(m, taken)
+    surface = _surface(s, taken)
     fails = ~(surface[0] > f)
     if not np.count_nonzero(fails):
         return taken, surface
-    m, b, move, euclid, f, full, uv, norms = (
-        x[..., fails] for x in (m, b, move, euclid, f, taken, *surface[1:]))
+    corrected = _targets(s, surface[1] / np.maximum(surface[2], _NORM_FLOOR))
+    b, move, euclid, f, full, corrected = (
+        x[..., fails] for x in (b, move, euclid, f, taken, corrected))
     tries = b[:, :, None] + _SCALES[1:, None] * move[:, :, None]
     tries /= np.sqrt(_sum3(tries * tries))
-    corrected = _unit(_targets(m, uv / np.maximum(norms, _NORM_FLOOR)), full, 1e-300)
+    corrected = _unit(corrected, full, 1e-300)
     tries = np.concatenate((tries, corrected[:, :, None], _unit(euclid, b, 1e-300)[:, :, None]), 2)
     count = tries.shape[2]
-    tried = _surface(np.tile(m, count), tries.reshape(3, 2, -1))
+    tried = _surface(s[..., np.tile(np.flatnonzero(fails), count)], tries.reshape(3, 2, -1))
     rises = tried[0].reshape(count, -1) > f
     pick = np.where(rises[:-1].any(0), rises[:-1].argmax(0), count - 1)
     index = pick * len(pick) + np.arange(len(pick))  # into the candidates, count-major
@@ -213,12 +257,12 @@ def _line_search(m: np.ndarray, b: np.ndarray, move: np.ndarray, euclid: np.ndar
     return taken, surface
 
 
-def _newton(m: np.ndarray, b: np.ndarray, budget: np.ndarray, tol: float):
-    """Safeguarded Riemannian Newton ascent of ``F`` (``_newton_parts``) from the pairs ``b``,
-    ``(3, 2, n)``, for at most ``budget`` ``(n,)`` steps per row. The reduced Hessian is
-    shifted by twice its largest eigenvalue, if positive, plus the reduced gradient norm,
-    which makes it negative definite and steadies the step where the maximisers are not
-    isolated (regularised Newton; Ueda & Yamashita, Appl. Math. Optim. 62, 27 (2010)).
+def _newton(s: _Stack, b: np.ndarray, budget: np.ndarray, tol: float):
+    """Safeguarded Riemannian Newton ascent of ``F`` (``_newton_parts``) on the stack ``s``
+    from the pairs ``b``, ``(3, 2, n)``, for at most ``budget`` ``(n,)`` steps per row. The
+    reduced Hessian is shifted by twice its largest eigenvalue, if positive, plus the reduced
+    gradient norm, which makes it negative definite and steadies the step where the maximisers
+    are not isolated (regularised Newton; Ueda & Yamashita, Appl. Math. Optim. 62, 27 (2010)).
     A row stops once the step's gain on the shifted quadratic model, ``grad.step / 2``, is
     at most ``tol``. Any other row moves by ``_line_search``: the full step where it raises
     ``F``, else the first of the lengths 1/2, 1/4 and 1/8 that does, else the full step
@@ -228,9 +272,9 @@ def _newton(m: np.ndarray, b: np.ndarray, budget: np.ndarray, tol: float):
     value, steps, converged = np.empty(n), np.zeros(n, int), np.zeros(n, bool)
     vectors = np.empty((3, 4, n))  # (u, v, b1, b2) until the loop ends
     rows = np.arange(n)
-    surface = _surface(m, b)
+    surface = _surface(s, b)
     for step in range(int(budget.max(initial=0)) + 1):
-        f, uv, grad, hess, basis, euclid = _newton_parts(m, b, surface)
+        f, uv, grad, hess, basis, euclid = _newton_parts(s, b, surface)
         top = np.linalg.eigvalsh(hess.transpose(2, 0, 1))[:, -1]
         diagonal = hess.reshape(16, -1)[::5]  # a view: hess is C-contiguous
         diagonal -= 2.0 * np.maximum(top, 0.0) + np.sqrt(_sum4(grad * grad)) + _SHIFT_FLOOR
@@ -244,10 +288,10 @@ def _newton(m: np.ndarray, b: np.ndarray, budget: np.ndarray, tol: float):
             if done.all():
                 break
             keep = ~done
-            m, b, budget, rows, f, basis, euclid, direction = (
-                x[..., keep] for x in (m, b, budget, rows, f, basis, euclid, direction))
+            s, b, budget, rows, f, basis, euclid, direction = (
+                x[..., keep] for x in (s, b, budget, rows, f, basis, euclid, direction))
         move = basis * direction.reshape(2, 2, -1)
-        b, surface = _line_search(m, b, move[:, :, 0] + move[:, :, 1], euclid, f)
+        b, surface = _line_search(s, b, move[:, :, 0] + move[:, :, 1], euclid, f)
     vectors[:, :2] = _unit(vectors[:, :2], _AXIS_FALLBACKS[:2].T[..., None], 1e-300)
     return value, steps, converged, vectors
 
@@ -260,18 +304,20 @@ def _climb(m: np.ndarray, starts: np.ndarray, cfg: SeesawConfig):
     for the rest of its ``cfg.max_iters``: a row that stopped at a stationary point keeps its
     see-saw result, and any other row takes Newton steps until it converges or its budget is
     spent. A row with no budget left gets only the stop test, which sets ``converged``.
-    Per row: value, iterations, converged, vectors."""
-    a, b = starts[:, :2], starts[:, 2:]
-    value = _value(m, _targets(m, a), a, b)
+    Per row: value, iterations, converged, vectors. One ``_Stack`` serves the whole climb."""
+    s, a, b = _Stack.cut(m), starts[:, :2].copy(), starts[:, 2:].copy()
+    step, b_targets = np.empty_like(a), np.empty_like(a)
+    value = _value(s, _targets(s, a, 0, b_targets), a, b)
     used, running = np.zeros(value.shape, int), np.ones(value.shape, bool)
     frozen = False  # whether some row has stopped, and so must keep its vectors
     for _ in range(min(cfg.max_iters, _SEESAW_ITERS)):
-        step = _unit(_targets(m.swapaxes(0, 1), b), a, 1e-300)
-        a = np.where(running, step, a) if frozen else step
-        b_targets = _targets(m, a)
-        step = _unit(b_targets, b, 1e-300)
-        b = np.where(running, step, b) if frozen else step
-        updated = _value(m, b_targets, a, b)  # a frozen row keeps its bits
+        _unit(_targets(s, b, 1, step), a, 1e-300, step if frozen else a)
+        if frozen:
+            np.copyto(a, step, where=running)
+        _unit(_targets(s, a, 0, b_targets), b, 1e-300, step if frozen else b)
+        if frozen:
+            np.copyto(b, step, where=running)
+        updated = _value(s, b_targets, a, b)  # a frozen row keeps its bits
         used += running
         running &= ~(np.abs(updated - value) <= cfg.tol)
         value = updated
@@ -279,7 +325,7 @@ def _climb(m: np.ndarray, starts: np.ndarray, cfg: SeesawConfig):
             break
         frozen = left < running.size
     vectors = np.concatenate((a, b), 1)
-    polished, steps, converged, newton_vectors = _newton(m, b, cfg.max_iters - used, cfg.tol)
+    polished, steps, converged, newton_vectors = _newton(s, b, cfg.max_iters - used, cfg.tol)
     moved = steps > 0
     return (np.where(moved, polished, value), used + steps, converged,
             np.where(moved, newton_vectors, vectors))
@@ -294,8 +340,8 @@ def _seesaw_batch(problems, constrain_y=False) -> list[OracleResult]:
     if len({(c.restarts, c.max_iters, c.tol) for c in cfgs}) > 1:
         raise ValueError("the configs of one see-saw batch may differ only in seed")
     m = _moments(problems).transpose(1, 2, 0) * _DOUBLED
-    flags = np.full(len(problems), constrain_y)
-    if constrained := flags.any():
+    if constrained := np.any(constrain_y):
+        flags = np.full(len(problems), constrain_y)
         m[1, :, flags] = m[:, 1, flags] = 0.0
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     step = max(1, _CHUNK_ROWS // len(problems))
@@ -304,15 +350,15 @@ def _seesaw_batch(problems, constrain_y=False) -> list[OracleResult]:
         # Each problem draws from its own generator, in restart order, just before its chunk.
         count = min(step, cfg.restarts - first)
         drawn = [unit3_stack(rng, 4 * count) for rng in rngs]
-        starts = np.reshape(drawn, (len(rngs), count, 4, 3)).transpose(3, 2, 0, 1)
+        starts = np.concatenate(drawn).reshape(-1, count, 4, 3)
         if constrained:
-            starts[1, :, flags] = 0.0
-            starts[:, :, flags] = _unit(starts[:, :, flags], _AXIS_FALLBACKS.T[..., None, None])
-        rows = np.repeat(np.arange(len(problems)), count)  # problem-major, as starts
-        runs = _climb(m[..., rows], starts.reshape(3, 4, -1), cfg)
-        for row, run in zip(rows, zip(*(x.tolist() for x in runs[:3]), runs[3].T)):
-            if not records[row] or run[0] > records[row][-1][0]:
-                records[row] = [old for old in records[row] if old[0] >= run[0] - cfg.tol] + [run]
+            starts[flags, ..., 1] = 0.0
+            starts[flags] = _unit(starts[flags].T, _AXIS_FALLBACKS.T[..., None, None]).T
+        runs = _climb(np.repeat(m, count, -1), starts.reshape(-1, 4, 3).T, cfg)  # problem-major
+        for row, value in enumerate(runs[0].tolist()):
+            if not (held := records[row // count]) or value > held[-1][0]:
+                records[row // count] = [old for old in held if old[0] >= value - cfg.tol] + [
+                    (value, runs[1][row].item(), runs[2][row].item(), runs[3][..., row].T)]
     return [OracleResult(value, BellSettings(*vectors, k=k), iterations, cfg.restarts, converged)
             for (_, k, _), ((value, iterations, converged, vectors), *_) in zip(problems, records)]
 

@@ -191,10 +191,13 @@ def _sum3(x: np.ndarray) -> np.ndarray:
     return x[0] + x[1] + x[2]
 
 
-def _unit(vec: np.ndarray, fallback, floor: float = 1e-12) -> np.ndarray:
-    """Vectors along the leading axis of ``vec`` over their norms; ``fallback`` below ``floor``."""
+def _unit(vec: np.ndarray, fallback, floor: float = 1e-12, out=None) -> np.ndarray:
+    """Vectors along the leading axis of ``vec`` over their norms; ``fallback`` below ``floor``.
+    Into ``out`` if given, which may be ``vec`` or ``fallback``."""
     norm = np.sqrt(_sum3(vec * vec))
-    return np.where(norm < floor, fallback, vec / np.maximum(norm, floor))
+    if np.count_nonzero(low := norm < floor):
+        return np.positive(np.where(low, fallback, vec / np.maximum(norm, floor)), out)
+    return np.divide(vec, norm, out)  # no norm is floored, a NaN norm included
 
 
 def optimal_settings(corr: CorrelationData) -> BellSettings:

@@ -6,6 +6,8 @@ sys.path.insert(0, str(TOOLS))
 
 import report_digest  # noqa: E402
 
+from bellmax import seesaw  # noqa: E402
+
 
 def test_digests_do_not_depend_on_the_working_directory(tmp_path):
     # Inputs go under a relative state dir, so the manifests name no temporary
@@ -17,7 +19,8 @@ def test_digests_do_not_depend_on_the_working_directory(tmp_path):
         runs.append(report_digest.digests(["density-oracle"], 1, [1], 1, str(tmp_path / sub)))
         assert not any((tmp_path / sub / report_digest.STATE_DIR).iterdir())
     assert runs[0] == runs[1]
-    assert set(runs[0]) == {"density-oracle", "optimize", "gamma", "verify-seeds"}
+    assert set(runs[0]) == {"density-oracle", "optimize", "optimize-budgets", "gamma",
+                            "verify-seeds"}
     other = report_digest.digests(["density-oracle"], 1, [7], 0, str(tmp_path / "first"))
     assert other["density-oracle"] != runs[0]["density-oracle"]
     assert other["optimize"] != runs[0]["optimize"]
@@ -35,6 +38,23 @@ def test_optimize_jobs_cover_every_density_input_both_ways():
             assert constrained.argv == free.argv + ("--constrain-y",)
             assert free.files == job.files
     assert lists[0]["optimize"] != lists[1]["optimize"]
+
+
+def test_optimize_budget_jobs_cover_each_cap_on_the_first_density_block():
+    # At each --max-iters of BUDGETS, the optimize jobs of the seed-1 block-0 density inputs,
+    # free and with --constrain-y, whatever seeds and blocks the other lists use.
+    first = report_digest.optimize_jobs(
+        report_digest.workloads.block_jobs("density-oracle", 1, 0, report_digest.STATE_DIR))
+    for seeds, blocks in (([1], 1), ([7], 2)):
+        budgets = report_digest.job_lists(["density-oracle"], blocks, seeds, 0)["optimize-budgets"]
+        assert len(budgets) == len(report_digest.BUDGETS) * len(first)
+        for index, job in enumerate(budgets):
+            cap, base = report_digest.BUDGETS[index // len(first)], first[index % len(first)]
+            at = base.argv.index("--no-timestamp")
+            assert job.argv == base.argv[:at] + ("--max-iters", str(cap)) + base.argv[at:]
+            assert job.files == base.files
+    # The see-saw cap with a Newton budget of 0 and of 1.
+    assert {seesaw._SEESAW_ITERS, seesaw._SEESAW_ITERS + 1} <= set(report_digest.BUDGETS)
 
 
 def test_gamma_jobs_cover_every_dimension_index_and_axis():

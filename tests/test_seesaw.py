@@ -615,14 +615,14 @@ def test_moment_stack_matches_3x3_algebra(monkeypatch):
         np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
 
     rt = r.swapaxes(1, 2)
-    t1, t2 = seesaw._targets(m, a).transpose(1, 2, 0)
+    t1, t2 = seesaw._targets(seesaw._Stack.cut(m), a).transpose(1, 2, 0)
     close(t1, times(rt, a1 + a2) + 2.0 * h)
     close(t2, times(rt, a1 - a2))
-    u, v = seesaw._targets(m.swapaxes(0, 1), b).transpose(1, 2, 0)
+    u, v = seesaw._targets(seesaw._Stack.cut(m), b, 1).transpose(1, 2, 0)
     close(u, times(r, b1 + b2) + 2.0 * g)
     close(v, times(r, b1 - b2))
-    close(seesaw._surface(m, b)[0], np.linalg.norm(u, axis=1) + np.linalg.norm(v, axis=1)
-          + 2.0 * np.vecdot(b1, h) + 2.0 * p)
+    close(seesaw._surface(seesaw._Stack.cut(m), b)[0],
+          np.linalg.norm(u, axis=1) + np.linalg.norm(v, axis=1) + 2.0 * np.vecdot(b1, h) + 2.0 * p)
 
     climbed = []
 
@@ -651,13 +651,13 @@ def eager_line_search(m, b, move, euclid, f):
     ``_SCALES``, the full step followed by a see-saw step and the see-saw step. It takes
     the first that raises ``F``, else the see-saw step."""
     tries = seesaw._unit(b[:, :, None] + seesaw._SCALES[:, None] * move[:, :, None], 0.0)
-    uv = seesaw._targets(m.swapaxes(0, 1), tries[:, :, 0])
+    uv = seesaw._targets(seesaw._Stack.cut(m), tries[:, :, 0], 1)
     a = uv / np.maximum(np.sqrt(seesaw._sum3(uv * uv)), seesaw._NORM_FLOOR)
-    corrected = seesaw._unit(seesaw._targets(m, a), tries[:, :, 0], 1e-300)
+    corrected = seesaw._unit(seesaw._targets(seesaw._Stack.cut(m), a), tries[:, :, 0], 1e-300)
     tries = np.concatenate((tries, corrected[:, :, None],
                             seesaw._unit(euclid, b, 1e-300)[:, :, None]), 2)
     count = tries.shape[2]
-    rises = seesaw._surface(np.tile(m, count),
+    rises = seesaw._surface(seesaw._Stack.cut(np.tile(m, count)),
                             tries.reshape(3, 2, -1))[0].reshape(count, -1) > f
     pick = np.where(rises[:-1].any(0), rises[:-1].argmax(0), count - 1)
     return tries[:, :, pick, np.arange(len(pick))], pick
@@ -676,8 +676,8 @@ def line_search_stacks():
         b = seesaw._unit(rng.normal(size=(3, 2, n)), 0.0)
         move = rng.normal(size=(3, 2, n)) * 10.0 ** rng.uniform(-4, 1, size=n)
         euclid = rng.normal(size=(3, 2, n))
-        f = seesaw._surface(m, b)[0]
-        full = seesaw._surface(m, seesaw._unit(b + move, 0.0))[0]
+        f = seesaw._surface(seesaw._Stack.cut(m), b)[0]
+        full = seesaw._surface(seesaw._Stack.cut(m), seesaw._unit(b + move, 0.0))[0]
         forced = rng.integers(0, 4, size=n)
         f = np.where(forced == 1, full, np.where(forced == 2, np.inf, f))
         yield m, b, move, euclid, f
@@ -689,7 +689,8 @@ def test_line_search_matches_eager_picks():
     picks = []
     for stacks in line_search_stacks():
         expected, pick = eager_line_search(*stacks)
-        assert np.array_equal(seesaw._line_search(*stacks)[0], expected)
+        taken = seesaw._line_search(seesaw._Stack.cut(stacks[0]), *stacks[1:])[0]
+        assert np.array_equal(taken, expected)
         picks.append(pick)
     counts = np.bincount(np.concatenate(picks), minlength=len(seesaw._SCALES) + 2)
     assert np.all(counts[[0, 1, -2, -1]] > 0)
@@ -701,8 +702,9 @@ def test_line_search_returns_the_surface_of_its_picks():
     # full-step, backtracked, corrected and see-saw-step rows alike.
     picks = []
     for stacks in line_search_stacks():
-        taken, surface = seesaw._line_search(*stacks)
-        for got, expected in zip(surface, seesaw._surface(stacks[0], taken), strict=True):
+        taken, surface = seesaw._line_search(seesaw._Stack.cut(stacks[0]), *stacks[1:])
+        expected_surface = seesaw._surface(seesaw._Stack.cut(stacks[0]), taken)
+        for got, expected in zip(surface, expected_surface, strict=True):
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
         picks.append(eager_line_search(*stacks)[1])
     counts = np.bincount(np.concatenate(picks), minlength=len(seesaw._SCALES) + 2)
@@ -962,3 +964,232 @@ def test_gisin_constrained_matches_closed_form():
         assert res.value == pytest.approx(closed.value, abs=1e-6)
         assert abs(res.settings.a1[1]) == 0.0
         assert abs(res.settings.b2[1]) == 0.0
+
+
+# ------------------------------------------- _climb against the allocating reference
+# Verbatim copies of _climb and the helpers it runs, as they were before _climb ran
+# on one preallocated workspace, renamed _reference_*, with the constants they read.
+# The workspace must keep every bit of every output (test_climb_keeps_reference_bits).
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
+_SCALES = 0.5 ** np.arange(4)
+_SHIFT_FLOOR = 1e-12
+_NORM_FLOOR = 1e-150
+_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
+_SIGN_PAIRS = (_SIGNS * _SIGNS.T)[..., None]
+_AXIS_FALLBACKS = np.array(((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)) * 2)
+_SEESAW_ITERS = 30
+_sum3, _sum4 = seesaw._sum3, seesaw._sum4
+
+
+def _reference_unit(vec: np.ndarray, fallback, floor: float = 1e-12) -> np.ndarray:
+    """Vectors along the leading axis of ``vec`` over their norms; ``fallback`` below ``floor``."""
+    norm = np.sqrt(_sum3(vec * vec))
+    return np.where(norm < floor, fallback, vec / np.maximum(norm, floor))
+
+
+def _reference_targets(m: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The b-step targets ``(R^T(o1 + o2) + 2h, R^T(o1 - o2))`` for the other party's pairs
+    ``(o1, o2)``, ``(3, 2, rows)``; on ``m.swapaxes(0, 1)``, the a-step targets ``(R(o1 + o2)
+    + 2g, R(o1 - o2))``."""
+    pairs = (other[:, :1] + _PLUS_MINUS * other[:, 1:])[:, None]
+    # C order: the default follows the strides of m.swapaxes(0, 1) and slows what follows.
+    target = _sum3(np.multiply(m[:3, :3, None], pairs, order="C"))
+    target[:, 0] += m[3, :3]
+    return target
+
+
+def _reference_basis(b: np.ndarray) -> np.ndarray:
+    """The tangent basis of the pairs ``b`` ``(3, 2, n)``, ``(3, 2, 2, n)``: for each vector,
+    two unit vectors orthogonal to it and to each other (Duff et al., J. Comput. Graph. Tech.
+    6, 1 (2017)). A vector in the x-z plane gets one tangent in that plane and one along y,
+    both with exact zeros."""
+    x, y, z = b
+    sign = np.copysign(1.0, z)
+    scale = -1.0 / (sign + z)
+    xy = x * y * scale
+    basis = np.empty((3, 2, 2, b.shape[-1]))  # (component, vector, tangent, row)
+    basis[:, :, 0] = 1.0 + sign * x * x * scale, sign * xy, -sign * x
+    basis[:, :, 1] = xy, sign + y * y * scale, -y
+    return basis
+
+
+def _reference_value(m: np.ndarray, b_targets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a1.R(b1+b2) + a2.R(b1-b2) + 2 a1.g + 2 b1.h + 2p``, as ``b1.t1 + b2.t2 + 2 a1.g
+    + 2p`` with the b-step targets ``(t1, t2) = (R^T(a1+a2) + 2h, R^T(a1-a2))``."""
+    dots = _sum3(b * b_targets)
+    return dots[0] + dots[1] + _sum3(a[:, 0] * m[:3, 3]) + m[3, 3]
+
+
+def _reference_surface(m: np.ndarray, b: np.ndarray):
+    """The value at the best ``a`` for the pairs ``b = (b1, b2)``, ``(3, 2, n)``:
+    ``F(b1, b2) = |u| + |v| + 2 b1.h + 2p`` with ``(u, v) = (R(b1+b2) + 2g, R(b1-b2))``,
+    which ``a = (u/|u|, v/|v|)`` attains. Returns ``F``, ``(u, v)`` and ``(|u|, |v|)``."""
+    uv = _reference_targets(m.swapaxes(0, 1), b)
+    norms = np.sqrt(_sum3(uv * uv))
+    return norms[0] + norms[1] + _sum3(b[:, 0] * m[3, :3]) + m[3, 3], uv, norms
+
+
+def _reference_newton_parts(m: np.ndarray, b: np.ndarray, surface):
+    """``F`` and ``(u, v)`` of ``surface = _reference_surface(m, b)`` with the Riemannian gradient and
+    Hessian of ``F`` on the product of the two spheres, in the tangent basis ``_reference_basis(b)``:
+    two unit vectors orthogonal to ``b1``, then two orthogonal to ``b2``. With ``W = R basis`` and
+    ``s = (1, 1, -1, -1)``, the gradient is ``W^T u^ + s W^T v^ + (basis^T 2h, 0)`` and the
+    Hessian ``W^T P_u W / |u| + s W^T P_v W s / |v|``, ``P_u = I - u^ u^T``, minus ``b.grad F``
+    on each sphere's block (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008, ch. 5-6). Also returns the Euclidean gradient ``(R^T(u^+v^) + 2h,
+    R^T(u^-v^))``, which is the target of the see-saw's b-step from ``a = (u^, v^)``."""
+    f, uv, norms = surface
+    norms = np.maximum(norms, _NORM_FLOOR)
+    unit = uv / norms
+    euclid = _reference_targets(m, unit)
+    basis = _reference_basis(b)
+    w = _sum3(np.multiply(m.swapaxes(0, 1)[:3, :3, None], basis.reshape(3, 1, 4, -1), order="C"))
+    wu, wv = _sum3(w * unit[:, :1]), _sum3(w * unit[:, 1:]) * _SIGNS
+    grad = _sum3(basis * euclid[:, :, None]).reshape(4, -1)
+    ww = _sum3(w[:, :, None] * w[:, None])
+    hess = (ww - wu[:, None] * wu) / norms[0] + (_SIGN_PAIRS * ww - wv[:, None] * wv) / norms[1]
+    diagonal = hess.reshape(16, -1)[::5].reshape(2, 2, -1)  # a view: hess is C-contiguous
+    diagonal -= _sum3(b * euclid)[:, None]
+    return f, uv, grad, hess, basis, euclid
+
+
+def _reference_line_search(m: np.ndarray, b: np.ndarray, move: np.ndarray, euclid: np.ndarray, f):
+    """The next pairs from ``b`` along the Newton steps ``move``, both ``(3, 2, n)``, and their
+    ``_surface``: the first candidate that raises ``F`` above ``f``, else the see-saw step
+    ``unit(euclid)``. The candidates are ``b + s move`` back on the spheres at each length
+    ``s`` of ``_SCALES``, then the full step followed by a see-saw step. Every row tries the
+    full step; only the rows where it fails try the rest (backtracking; Absil, Mahony &
+    Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 4). Where R's
+    singular values nearly coincide, the maximisers form a curved ridge; a step along it
+    leaves it at second order and can lose more than it gains, and the see-saw step after
+    it returns to the ridge (a second-order correction)."""
+    taken = b + move
+    taken /= np.sqrt(_sum3(taken * taken))  # a norm is +0 or more, or NaN: no floor needed
+    surface = _reference_surface(m, taken)
+    fails = ~(surface[0] > f)
+    if not np.count_nonzero(fails):
+        return taken, surface
+    m, b, move, euclid, f, full, uv, norms = (
+        x[..., fails] for x in (m, b, move, euclid, f, taken, *surface[1:]))
+    tries = b[:, :, None] + _SCALES[1:, None] * move[:, :, None]
+    tries /= np.sqrt(_sum3(tries * tries))
+    corrected = _reference_unit(_reference_targets(m, uv / np.maximum(norms, _NORM_FLOOR)), full, 1e-300)
+    tries = np.concatenate((tries, corrected[:, :, None], _reference_unit(euclid, b, 1e-300)[:, :, None]), 2)
+    count = tries.shape[2]
+    tried = _reference_surface(np.tile(m, count), tries.reshape(3, 2, -1))
+    rises = tried[0].reshape(count, -1) > f
+    pick = np.where(rises[:-1].any(0), rises[:-1].argmax(0), count - 1)
+    index = pick * len(pick) + np.arange(len(pick))  # into the candidates, count-major
+    for whole, part in zip((taken, *surface), (tries.reshape(3, 2, -1), *tried)):
+        whole[..., fails] = part[..., index]
+    return taken, surface
+
+
+def _reference_newton(m: np.ndarray, b: np.ndarray, budget: np.ndarray, tol: float):
+    """Safeguarded Riemannian Newton ascent of ``F`` (``_newton_parts``) from the pairs ``b``,
+    ``(3, 2, n)``, for at most ``budget`` ``(n,)`` steps per row. The reduced Hessian is
+    shifted by twice its largest eigenvalue, if positive, plus the reduced gradient norm,
+    which makes it negative definite and steadies the step where the maximisers are not
+    isolated (regularised Newton; Ueda & Yamashita, Appl. Math. Optim. 62, 27 (2010)).
+    A row stops once the step's gain on the shifted quadratic model, ``grad.step / 2``, is
+    at most ``tol``. Any other row moves by ``_line_search``: the full step where it raises
+    ``F``, else the first of the lengths 1/2, 1/4 and 1/8 that does, else the full step
+    followed by a see-saw step if that does, else one see-saw step. Per row: value, steps,
+    converged, and ``(a1, a2, b1, b2)`` with ``a = (u/|u|, v/|v|)``."""
+    n = b.shape[-1]
+    value, steps, converged = np.empty(n), np.zeros(n, int), np.zeros(n, bool)
+    vectors = np.empty((3, 4, n))  # (u, v, b1, b2) until the loop ends
+    rows = np.arange(n)
+    surface = _reference_surface(m, b)
+    for step in range(int(budget.max(initial=0)) + 1):
+        f, uv, grad, hess, basis, euclid = _reference_newton_parts(m, b, surface)
+        top = np.linalg.eigvalsh(hess.transpose(2, 0, 1))[:, -1]
+        diagonal = hess.reshape(16, -1)[::5]  # a view: hess is C-contiguous
+        diagonal -= 2.0 * np.maximum(top, 0.0) + np.sqrt(_sum4(grad * grad)) + _SHIFT_FLOOR
+        direction = np.linalg.solve(hess.transpose(2, 0, 1), -grad.T[..., None])[..., 0].T
+        small = _sum4(grad * direction) / 2 <= tol
+        done = small | (step >= budget)
+        if np.count_nonzero(done):
+            finished = rows[done]
+            value[finished], steps[finished], converged[finished] = f[done], step, small[done]
+            vectors[..., finished] = np.concatenate((uv[..., done], b[..., done]), 1)
+            if done.all():
+                break
+            keep = ~done
+            m, b, budget, rows, f, basis, euclid, direction = (
+                x[..., keep] for x in (m, b, budget, rows, f, basis, euclid, direction))
+        move = basis * direction.reshape(2, 2, -1)
+        b, surface = _reference_line_search(m, b, move[:, :, 0] + move[:, :, 1], euclid, f)
+    vectors[:, :2] = _reference_unit(vectors[:, :2], _AXIS_FALLBACKS[:2].T[..., None], 1e-300)
+    return value, steps, converged, vectors
+
+
+def _reference_climb(m: np.ndarray, starts: np.ndarray, cfg: SeesawConfig):
+    """Ascend each row of ``starts = (a1, a2, b1, b2)``, ``(3, 4, n)``, against its moment
+    stack, ``m`` ``(4, 4, n)``. Every row first runs up to ``_SEESAW_ITERS`` see-saw
+    iterations, in which a target of norm < 1e-300 keeps the old vector and a row stops once
+    an iteration moves its value by at most ``cfg.tol``. Every row then goes to ``_newton``
+    for the rest of its ``cfg.max_iters``: a row that stopped at a stationary point keeps its
+    see-saw result, and any other row takes Newton steps until it converges or its budget is
+    spent. A row with no budget left gets only the stop test, which sets ``converged``.
+    Per row: value, iterations, converged, vectors."""
+    a, b = starts[:, :2], starts[:, 2:]
+    value = _reference_value(m, _reference_targets(m, a), a, b)
+    used, running = np.zeros(value.shape, int), np.ones(value.shape, bool)
+    frozen = False  # whether some row has stopped, and so must keep its vectors
+    for _ in range(min(cfg.max_iters, _SEESAW_ITERS)):
+        step = _reference_unit(_reference_targets(m.swapaxes(0, 1), b), a, 1e-300)
+        a = np.where(running, step, a) if frozen else step
+        b_targets = _reference_targets(m, a)
+        step = _reference_unit(b_targets, b, 1e-300)
+        b = np.where(running, step, b) if frozen else step
+        updated = _reference_value(m, b_targets, a, b)  # a frozen row keeps its bits
+        used += running
+        running &= ~(np.abs(updated - value) <= cfg.tol)
+        value = updated
+        if not (left := np.count_nonzero(running)):
+            break
+        frozen = left < running.size
+    vectors = np.concatenate((a, b), 1)
+    polished, steps, converged, newton_vectors = _reference_newton(m, b, cfg.max_iters - used, cfg.tol)
+    moved = steps > 0
+    return (np.where(moved, polished, value), used + steps, converged,
+            np.where(moved, newton_vectors, vectors))
+
+
+def climb_stacks(rng, n):
+    """A moment stack ``(4, 4, n)`` and starts ``(3, 4, n)`` for ``_climb``, the rows cycling
+    over the problems of random densities at every k. Every 7th row has ``R = 0`` and ``g = 0``,
+    so both a-targets are exactly zero and ``_unit`` keeps the old ``a`` in those rows only;
+    every 5th row starts with ``b1 = b2``, so its first ``a2`` target is exactly zero; every 3rd
+    row has its y parts zeroed and its starts projected, as ``constrain_y`` does."""
+    problems = [(sampling.mixed_density(rng, dim), k, None) for dim in (2, 3, 4)
+                for k in range(1, dim + 1)]
+    t = seesaw._moments(problems)[np.arange(n) % len(problems)]
+    m = t.transpose(1, 2, 0) * seesaw._DOUBLED
+    starts = sampling.unit3_stack(rng, 4 * n).reshape(n, 4, 3).T.copy()
+    m[:3, :, ::7] = 0.0
+    starts[:, 3, ::5] = starts[:, 2, ::5]
+    m[1, :, ::3] = m[:, 1, ::3] = 0.0
+    starts[1, :, ::3] = 0.0
+    starts[:, :, ::3] = _reference_unit(starts[:, :, ::3], _AXIS_FALLBACKS.T[..., None])
+    return m, starts
+
+
+def test_climb_keeps_reference_bits():
+    # _climb on its workspace returns the bytes of the allocating reference, on stacks of
+    # 1 to 1025 rows, at every tol and at see-saw caps and Newton budgets around
+    # _SEESAW_ITERS, fallback rows and constrain_y rows included.
+    rng = np.random.default_rng(97)
+    newton_rows = 0
+    for n in (1, 4, 32, 144, 1025):
+        m, starts = climb_stacks(rng, n)
+        for max_iters, tol in itertools.product((1, 2, 30, 31, 1000), (1e-14, 1e-10, 1e-3)):
+            cfg = SeesawConfig(max_iters=max_iters, tol=tol)
+            expected = _reference_climb(m, starts, cfg)
+            got = seesaw._climb(m.copy(), starts.copy(), cfg)
+            for first, second in zip(got, expected, strict=True):
+                assert first.dtype == second.dtype and first.shape == second.shape
+                assert first.tobytes() == second.tobytes()
+            newton_rows += np.count_nonzero(expected[1] > seesaw._SEESAW_ITERS)
+    assert newton_rows >= 100

@@ -3,7 +3,8 @@
 Runs ``bellmax.cli.main`` in this process over blocks 0-3 under seeds 1 and 7
 of every workload in ``bench/workloads.py``, plus ``optimize`` on every
 density-oracle input (with and without ``--constrain-y``, so the digests see
-the settings, ``iterations_used`` and ``converged`` of the see-saw), ``gamma``
+the settings, ``iterations_used`` and ``converged`` of the see-saw), the same on
+the seed-1 block-0 density inputs at each ``--max-iters`` of ``BUDGETS``, ``gamma``
 at N 2-9 for every k and axis (nested ``re``/``im`` lists, which no workload
 writes), ``verify --seed 0..59`` and ``verify --seed 0 --samples 400``, whose
 256-problem slices span the closed-vs-see-saw checks, and hashes each job's
@@ -37,6 +38,9 @@ SEEDS = (1, 7)
 VERIFY_SEEDS = 60
 #: Restarts of each ``optimize`` job.
 OPTIMIZE_RESTARTS = 4
+#: The ``--max-iters`` of the ``optimize-budgets`` jobs: one and two see-saw iterations, and
+#: the see-saw cap of 30 with a Newton budget of 0 and of 1.
+BUDGETS = (1, 2, 30, 31)
 #: The N of the ``gamma`` jobs, each at every k and axis.
 GAMMA_DIMS = range(2, 10)
 #: One verify job whose slices of closed-vs-see-saw problems span checks (about 1.2 s).
@@ -51,6 +55,9 @@ def job_lists(names, blocks: int, seeds, verify_seeds: int,
              for name in names}
     if "density-oracle" in lists:
         lists["optimize"] = optimize_jobs(lists["density-oracle"])
+        first = workloads.block_jobs("density-oracle", 1, 0, STATE_DIR)
+        lists["optimize-budgets"] = [job for cap in BUDGETS
+                                     for job in optimize_jobs(first, ("--max-iters", str(cap)))]
     lists["gamma"] = [workloads.Job(("gamma", "--N", str(n), "--k", str(k), "--axis", axis,
                                      "--no-timestamp"), "gamma", {})
                       for n in GAMMA_DIMS for k in range(1, n + 1)
@@ -63,14 +70,14 @@ def job_lists(names, blocks: int, seeds, verify_seeds: int,
     return lists
 
 
-def optimize_jobs(jobs) -> list:
+def optimize_jobs(jobs, extra=()) -> list:
     """An ``optimize`` job on the input of each job of ``jobs``, at ``--k`` and ``--seed``
-    from its slot, once free and once with ``--constrain-y``."""
+    from its slot and with the options ``extra``, once free and once with ``--constrain-y``."""
     result = []
     for slot, job in enumerate(jobs):
         (path,) = job.files
         argv = ("optimize", "--state", path, "--k", str(1 + slot % job.spec["N"]),
-                "--seed", str(slot), "--restarts", str(OPTIMIZE_RESTARTS), "--no-timestamp")
+                "--seed", str(slot), "--restarts", str(OPTIMIZE_RESTARTS), *extra, "--no-timestamp")
         result += [workloads.Job(argv + flag, "optimize", {}, job.files)
                    for flag in ((), ("--constrain-y",))]
     return result
