@@ -144,19 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest(args) -> dict:
-    skip = ("command", "func", "seed", "no_timestamp", "output")
-    parameters = {key: value for key, value in vars(args).items() if key not in skip}
-    parameters["output"] = args.output  # after the subcommand's own options
-    return reporting.build_manifest(
-        args.command, parameters, args.seed,
-        include_timestamp=not args.no_timestamp,
-    )
-
-
 def _write(args, body: dict) -> int:
     """Write the JSON report of ``args``: its manifest, then ``body``."""
-    sys.stdout.write(reporting.to_json({"manifest": _manifest(args), **body}))
+    sys.stdout.write(reporting.to_json({"manifest": reporting.build_manifest(args), **body}))
     return EXIT_OK
 
 

@@ -23,21 +23,17 @@ def format_float(value: float) -> str:
     return format(value + 0.0, ".17g")  # +0.0 folds -0.0 into 0.0
 
 
-def build_manifest(
-    command: str,
-    parameters: dict,
-    seed: int,
-    include_timestamp: bool = True,
-) -> dict:
+def build_manifest(args) -> dict:
+    """The manifest of the parsed CLI ``args``: the subcommand, its own options in declared
+    order, then ``output``, the seed, the version, and the timestamp unless ``--no-timestamp``."""
     from . import __version__
 
-    manifest: dict[str, Any] = {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "version": __version__,
-    }
-    if include_timestamp:
+    skip = ("command", "func", "seed", "no_timestamp", "output")
+    parameters = {key: value for key, value in vars(args).items() if key not in skip}
+    parameters["output"] = args.output
+    manifest: dict[str, Any] = {"command": args.command, "parameters": parameters,
+                                "seed": args.seed, "version": __version__}
+    if not args.no_timestamp:
         manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
     return manifest
 

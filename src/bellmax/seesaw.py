@@ -18,10 +18,11 @@ in one call per chunk (``sampling.unit3_stack``). A call runs one problem,
 one batch every other k whose bound reaches its value, and ``verify`` one per slice
 of the chained cases of its closed-vs-see-saw checks, with ``constrain_y`` per problem.
 
-A row sees its state only through the moments ``T`` of ``violation._moments``, as one
-moment stack ``m`` ``(4, 4, rows)``: ``m[:3, :3] = R``, ``m[:3, 3] = 2g``, ``m[3, :3] =
-2h``, ``m[3, 3] = 2p``, cut into a ``_Stack`` ``s``: ``_targets(s, a)`` gives the b-step
-targets, ``_targets(s, b, 1)`` the a-step targets, those of the transposed ``m``.
+A row sees its state only through its moments ``T`` ``(4, 4)`` of ``violation._moments``:
+``T[:3, :3] = R``, ``T[:3, 3] = g``, ``T[3, :3] = h``, ``T[3, 3] = p``. The caller that first
+needs them computes them once per problem set and hands them on, in the ``(rows, 4, 4)``
+layout of ``_moments``. ``_Stack.cut`` cuts them once per ascent into a ``_Stack`` ``s``:
+``_targets(s, a)`` gives the b-step targets, ``_targets(s, b, 1)`` the a-step targets.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ _NORM_FLOOR = 1e-150
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
 #: Signs of the two halves of the Hessian: ``W^T P_u W`` and ``s W^T P_v W s``.
 _HALF_SIGNS = np.stack((np.ones((4, 4)), _SIGNS * _SIGNS.T))[..., None]
-#: Factors from the moments ``T`` to the moment stack: 1 on ``R``, 2 on ``g``, ``h``, ``p``.
-_DOUBLED = np.pad(np.ones((3, 3)), (0, 1), constant_values=2.0)[..., None]
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,12 @@ def bell_value(state: QuantumState, settings: BellSettings) -> float:
 
 
 class _Stack:
-    """A moment stack ``m`` ``(4, 4, n)`` cut once into the rows of ``cuts`` ``(31, n)``, which
+    """The moments ``T`` ``(n, 4, 4)`` cut once into the rows of ``cuts`` ``(31, n)``, which
     ``s[..., rows]`` indexes, with the buffers of ``_targets`` and ``_dots`` and their views:
     ``r`` holds ``R`` and ``R^T`` ``(3, 3, 1, n)``, whose first axes ``_targets`` sums over,
     and ``shifts`` ``(2h, -0.0)`` and ``(2g, -0.0)`` ``(3, 2, n)``, which it adds to both
-    targets in one call (``x + -0.0`` is ``x``, bit for bit); ``p`` is ``2p``."""
+    targets in one call (``x + -0.0`` is ``x``, bit for bit); ``p`` is ``2p``. ``cut``
+    doubles ``g``, ``h`` and ``p`` itself, which is exact."""
 
     def __init__(self, cuts: np.ndarray):
         self.cuts, self.p, n = cuts, cuts[30], cuts.shape[-1]
@@ -114,11 +114,12 @@ class _Stack:
         self.terms = terms[:, :2], terms[:, 2], terms[0], terms[1], terms[2]
 
     @classmethod
-    def cut(cls, m: np.ndarray) -> _Stack:
-        s = cls(np.full((31, m.shape[-1]), -0.0))
+    def cut(cls, t: np.ndarray) -> _Stack:
+        s = cls(np.full((31, len(t)), -0.0))
         (r, r_t), (h, g) = s.r, s.shifts
         r[..., 0, :], r_t[..., 0, :], h[:, 0], g[:, 0], s.p[...] = (
-            m[:3, :3], m[:3, :3].swapaxes(0, 1), m[3, :3], m[:3, 3], m[3, 3])
+            t[:, :3, :3].transpose(1, 2, 0), t[:, :3, :3].transpose(2, 1, 0),
+            2.0 * t[:, 3, :3].T, 2.0 * t[:, :3, 3].T, 2.0 * t[:, 3, 3])
         return s
 
     def __getitem__(self, rows) -> _Stack:
@@ -176,7 +177,7 @@ def _value(s: _Stack, b_targets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np
 
 def _values_at(t: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """``_value`` of the moments ``T`` ``(rows, 4, 4)`` at ``(a1, a2, b1, b2)`` ``(rows, 4, 3)``."""
-    s, v = _Stack.cut(t.transpose(1, 2, 0) * _DOUBLED), directions.T
+    s, v = _Stack.cut(t), directions.T
     return _value(s, _targets(s, v[:, :2]), v[:, :2], v[:, 2:])
 
 
@@ -296,34 +297,29 @@ def _newton(s: _Stack, b: np.ndarray, budget: np.ndarray, tol: float):
     return value, steps, converged, vectors
 
 
-def _climb(m: np.ndarray, starts: np.ndarray, cfg: SeesawConfig):
-    """Ascend each row of ``starts = (a1, a2, b1, b2)``, ``(3, 4, n)``, against its moment
-    stack, ``m`` ``(4, 4, n)``. Every row first runs up to ``_SEESAW_ITERS`` see-saw
-    iterations, in which a target of norm < 1e-300 keeps the old vector and a row stops once
-    an iteration moves its value by at most ``cfg.tol``. Every row then goes to ``_newton``
-    for the rest of its ``cfg.max_iters``: a row that stopped at a stationary point keeps its
-    see-saw result, and any other row takes Newton steps until it converges or its budget is
-    spent. A row with no budget left gets only the stop test, which sets ``converged``.
-    Per row: value, iterations, converged, vectors. One ``_Stack`` serves the whole climb."""
-    s, a, b = _Stack.cut(m), starts[:, :2].copy(), starts[:, 2:].copy()
+def _climb(t: np.ndarray, starts: np.ndarray, cfg: SeesawConfig):
+    """Ascend each row of ``starts = (a1, a2, b1, b2)``, ``(3, 4, n)``, against its moments
+    ``T`` ``(n, 4, 4)``. Every row first runs up to ``_SEESAW_ITERS`` see-saw iterations, in
+    which a target of norm < 1e-300 keeps the old vector and a row stops once an iteration
+    moves its value by at most ``cfg.tol``; each step writes through ``step``, and only the
+    running rows take it. Every row then goes to ``_newton`` for the rest of its
+    ``cfg.max_iters``: a row that stopped at a stationary point keeps its see-saw result, and
+    any other row takes Newton steps until it converges or its budget is spent. A row with no
+    budget left gets only the stop test, which sets ``converged``. Per row: value,
+    iterations, converged, vectors. One ``_Stack`` serves the whole climb."""
+    s, a, b = _Stack.cut(t), starts[:, :2].copy(), starts[:, 2:].copy()
     step, b_targets = np.empty_like(a), np.empty_like(a)
     value = _value(s, _targets(s, a, 0, b_targets), a, b)
     used, running = np.zeros(value.shape, int), np.ones(value.shape, bool)
-    frozen = False  # whether some row has stopped, and so must keep its vectors
     for _ in range(min(cfg.max_iters, _SEESAW_ITERS)):
-        _unit(_targets(s, b, 1, step), a, 1e-300, step if frozen else a)
-        if frozen:
-            np.copyto(a, step, where=running)
-        _unit(_targets(s, a, 0, b_targets), b, 1e-300, step if frozen else b)
-        if frozen:
-            np.copyto(b, step, where=running)
-        updated = _value(s, b_targets, a, b)  # a frozen row keeps its bits
+        np.copyto(a, _unit(_targets(s, b, 1, step), a, 1e-300, step), where=running)
+        np.copyto(b, _unit(_targets(s, a, 0, b_targets), b, 1e-300, step), where=running)
+        updated = _value(s, b_targets, a, b)  # a stopped row keeps its bits
         used += running
         running &= ~(np.abs(updated - value) <= cfg.tol)
         value = updated
-        if not (left := np.count_nonzero(running)):
+        if not np.count_nonzero(running):
             break
-        frozen = left < running.size
     vectors = np.concatenate((a, b), 1)
     polished, steps, converged, newton_vectors = _newton(s, b, cfg.max_iters - used, cfg.tol)
     moved = steps > 0
@@ -331,18 +327,18 @@ def _climb(m: np.ndarray, starts: np.ndarray, cfg: SeesawConfig):
             np.where(moved, newton_vectors, vectors))
 
 
-def _seesaw_batch(problems, constrain_y=False) -> list[OracleResult]:
+def _seesaw_batch(problems, t, constrain_y=False) -> list[OracleResult]:
     """``seesaw_maximize`` for every ``(state, k, cfg)`` in ``problems``, whose configs may
-    differ only in ``seed``, and ``constrain_y`` (a bool, or one per problem): one ``_moments``
-    call, then one ascent of every (problem, restart) row, chunks of at most ``_CHUNK_ROWS``."""
+    differ only in ``seed``, with their moments ``t``, ``_moments(problems)``, which the
+    caller computed, and ``constrain_y`` (a bool, or one per problem): one ascent of every
+    (problem, restart) row, in chunks of at most ``_CHUNK_ROWS``. ``t`` is not changed."""
     cfgs = [cfg if cfg is not None else SeesawConfig() for _, _, cfg in problems]
     cfg = cfgs[0]
     if len({(c.restarts, c.max_iters, c.tol) for c in cfgs}) > 1:
         raise ValueError("the configs of one see-saw batch may differ only in seed")
-    m = _moments(problems).transpose(1, 2, 0) * _DOUBLED
     if constrained := np.any(constrain_y):
-        flags = np.full(len(problems), constrain_y)
-        m[1, :, flags] = m[:, 1, flags] = 0.0
+        flags, t = np.full(len(problems), constrain_y), t.copy()
+        t[flags, 1] = t[flags, :, 1] = 0.0
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     step = max(1, _CHUNK_ROWS // len(problems))
     records = [[] for _ in problems]  # runs that beat all earlier runs, within cfg.tol of the best
@@ -354,7 +350,7 @@ def _seesaw_batch(problems, constrain_y=False) -> list[OracleResult]:
         if constrained:
             starts[flags, ..., 1] = 0.0
             starts[flags] = _unit(starts[flags].T, _AXIS_FALLBACKS.T[..., None, None]).T
-        runs = _climb(np.repeat(m, count, -1), starts.reshape(-1, 4, 3).T, cfg)  # problem-major
+        runs = _climb(np.repeat(t, count, 0), starts.reshape(-1, 4, 3).T, cfg)  # problem-major
         for row, value in enumerate(runs[0].tolist()):
             if not (held := records[row // count]) or value > held[-1][0]:
                 records[row // count] = [old for old in held if old[0] >= value - cfg.tol] + [
@@ -378,7 +374,7 @@ def seesaw_maximize(state: QuantumState, k: int, cfg: SeesawConfig | None = None
     the one-problem case of ``_seesaw_batch``: every restart is a row of one array ascent,
     and the lowest restart whose value is within ``cfg.tol`` of the best is reported.
     """
-    return _seesaw_batch([(state, k, cfg)], constrain_y)[0]
+    return _seesaw_batch([(state, k, cfg)], _moments([(state, k)]), constrain_y)[0]
 
 
 def spectral_max(gamma: GammaSet, settings: BellSettings) -> float:

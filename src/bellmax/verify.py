@@ -102,13 +102,14 @@ def _problems(checks, samples: int):
 def _closed_vs_seesaw(checks, samples: int):
     """Closed-form vs see-saw gaps of the ``_problems`` of ``checks``, as ``(check index, gap,
     (case, constrain_y, see-saw row))``. Each ``_SLICE`` of the chain, whichever checks it
-    spans, is one closed-form and one see-saw batch, a row bit-equal to a one-problem call."""
+    spans, is one closed-form and one see-saw batch that read one ``_moments`` batch, a row
+    bit-equal to a one-problem call."""
     problems = _problems(checks, samples)
     while batch := list(itertools.islice(problems, _SLICE)):
         owners, flags, cases = zip(*batch)
-        closed = _closed_values(cases)[-1].tolist()
-        for owner, flag, case, value, oracle in zip(owners, flags, cases, closed,
-                                                    _seesaw_batch(cases, flags)):
+        t, *_, closed = _closed_values(cases)
+        for owner, flag, case, value, oracle in zip(owners, flags, cases, closed.tolist(),
+                                                    _seesaw_batch(cases, t, flags)):
             yield owner, abs(value - oracle.value), (case, flag, oracle)
         del batch, cases, case  # before the next slice is drawn
 
@@ -192,7 +193,7 @@ def check_seesaw_determinism(rng, samples: int, first=None) -> CheckResult:
     one-problem batch."""
     if first is None:
         _, flag, case = next(_problems([(check_closed_vs_seesaw_even, rng)], samples))
-        first = case, flag, seesaw._seesaw_batch([case], flag)[0]  # verify's runs the chain
+        first = case, flag, seesaw._seesaw_batch([case], _moments([case]), flag)[0]
     case, flag, row = first
     again = seesaw_maximize(*case, constrain_y=flag)
     pairs = ((row, again, ("value", "iterations_used", "restarts_used", "converged")),

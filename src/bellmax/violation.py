@@ -231,12 +231,11 @@ def _closed_forms(problems) -> list[ViolationReport]:
                 tau.tolist(), t[:, 3, 3].tolist(), cross.tolist(), _violates(values).tolist())]
 
 
-def _upper_bounds(state: QuantumState, reports) -> np.ndarray:
-    """``U = 2 sqrt(tau1 + tau2) + 2|g| + 2|h| + 2p`` at the k of each closed-form report of
-    ``state``, its value plus ``2|g| + 2|h|``: no settings give more, as ``2 a1.g <= 2|g|``
-    and ``2 b1.h <= 2|h|`` (triangle inequality), and ``U`` is the closed form where
-    ``g = h = 0``."""
-    t = _moments([(state, rep.k) for rep in reports])
+def _upper_bounds(t: np.ndarray, reports) -> np.ndarray:
+    """``U = 2 sqrt(tau1 + tau2) + 2|g| + 2|h| + 2p`` of each closed-form report from the
+    moments ``t`` of its problem, its value plus ``2|g| + 2|h|``: no settings give more, as
+    ``2 a1.g <= 2|g|`` and ``2 b1.h <= 2|h|`` (triangle inequality), and ``U`` is the closed
+    form where ``g = h = 0``."""
     return np.array([rep.value for rep in reports]) + 2.0 * (
         np.linalg.norm(t[:, :3, 3], axis=1) + np.linalg.norm(t[:, 3, :3], axis=1))
 
@@ -274,10 +273,12 @@ def best_k(state: QuantumState, cfg=None, reports=None) -> ViolationReport:
     ``formula_valid=False`` and ``method="oracle"``. The see-saw is a branch
     and bound over k: the k with the largest ``_upper_bounds`` value runs
     first, alone, then every other k whose bound is not below its value by
-    more than ``PRUNE_MARGIN`` runs in one batch. A skipped k cannot reach
-    the lead, so the result is that of running every k, and each k that runs
-    is bit-equal to ``seesaw_maximize`` at its k. ``reports`` are the
-    candidate closed-form reports, ``scan_k(state)`` when not given.
+    more than ``PRUNE_MARGIN`` runs in one batch; one ``_moments`` batch of
+    the candidate ks feeds the bounds and both see-saw batches. A skipped k
+    cannot reach the lead, so the result is that of running every k, and
+    each k that runs is bit-equal to ``seesaw_maximize`` at its k.
+    ``reports`` are the candidate closed-form reports, ``scan_k(state)``
+    when not given.
     """
     reports = reports if reports is not None else scan_k(state)
     certified = [rep for rep in reports if rep.formula_valid]
@@ -285,13 +286,14 @@ def best_k(state: QuantumState, cfg=None, reports=None) -> ViolationReport:
         # max keeps the first of equal values, i.e. the smallest k
         return max(certified, key=lambda rep: rep.value)
     from .seesaw import _seesaw_batch
-    bounds = _upper_bounds(state, reports)
+    t = _moments([(state, rep.k) for rep in reports])
+    bounds = _upper_bounds(t, reports)
     first = int(np.argmax(bounds))  # the first of equal bounds, i.e. the smallest k
-    ran = {first: _seesaw_batch([(state, reports[first].k, cfg)])[0]}
+    ran = {first: _seesaw_batch([(state, reports[first].k, cfg)], t[first:first + 1])[0]}
     rest = [i for i, bound in enumerate(bounds.tolist())
             if i != first and bound >= ran[first].value - PRUNE_MARGIN]
     if rest:
-        ran.update(zip(rest, _seesaw_batch([(state, reports[i].k, cfg) for i in rest])))
+        ran.update(zip(rest, _seesaw_batch([(state, reports[i].k, cfg) for i in rest], t[rest])))
     return max((oracle_report(reports[i], ran[i]) for i in sorted(ran)),
                key=lambda rep: rep.value)
 

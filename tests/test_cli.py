@@ -347,7 +347,8 @@ def test_verify_passes_and_validates(capsys):
 def test_verify_batches_its_closed_forms(monkeypatch):
     # isotropic-monotone is one _moments call (it was one per state, 202),
     # and no check makes more than one closed-form call. verify reads values,
-    # not reports: every closed form it takes is a _closed_values batch.
+    # not reports: every closed form it takes is a _closed_values batch. A
+    # see-saw batch reads the moments it is handed and computes none.
     from bellmax import verify
 
     calls = Counter()
@@ -358,7 +359,18 @@ def test_verify_batches_its_closed_forms(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(violation, "_moments", counted("moments", violation._moments))
+    def moments_inside(fn):  # the _moments calls made while a see-saw batch runs
+        def wrapper(*args):
+            before = calls["moments"]
+            result = fn(*args)
+            calls["batch moments"] += calls["moments"] - before
+            return result
+        return wrapper
+
+    for module in (violation, seesaw):
+        monkeypatch.setattr(module, "_moments", counted("moments", module._moments))
+    for module in (verify, seesaw):
+        monkeypatch.setattr(module, "_seesaw_batch", moments_inside(module._seesaw_batch))
     for module in (verify, violation):
         monkeypatch.setattr(module, "_closed_values", counted("closed", module._closed_values))
     for samples in (2, 8):
@@ -367,6 +379,7 @@ def test_verify_batches_its_closed_forms(monkeypatch):
             calls.clear()
             assert verify._run(*entry, np.random.default_rng(child), samples).passed
             assert calls["closed"] <= 1, entry[0]
+            assert calls["batch moments"] == 0, entry[0]
             if entry[0] == "isotropic-monotone":
                 assert calls == {"closed": 1, "moments": 1}
 
@@ -512,7 +525,7 @@ def test_verify_seesaw_determinism_sees_a_sign_bit(monkeypatch):
 
     case = (sampling.schmidt_state(np.random.default_rng(5), 3), 3,
             seesaw.SeesawConfig(restarts=2, seed=1))
-    first = (case, True, seesaw._seesaw_batch([case], True)[0])
+    first = (case, True, seesaw._seesaw_batch([case], seesaw._moments([case]), True)[0])
     assert first[2].settings.a1[1] == 0.0
     record = verify.check_seesaw_determinism(None, 1, first=first)
     assert record == verify.CheckResult("seesaw-determinism", True, "bit-identical repeat")

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bellmax import sampling, seesaw
+from bellmax import sampling, seesaw, violation
 from bellmax.operators import BellSettings, make_gamma_set
 from bellmax.seesaw import (
     OracleResult,
@@ -43,6 +43,22 @@ def tsirelson_settings(k: int = 1) -> BellSettings:
 
 def fast_cfg(seed: int = 0) -> SeesawConfig:
     return SeesawConfig(restarts=8, max_iters=500, tol=1e-11, seed=seed)
+
+
+def seesaw_batch(problems, constrain_y=False):
+    """``_seesaw_batch`` on ``problems`` with their moments."""
+    return _seesaw_batch(problems, seesaw._moments(problems), constrain_y)
+
+
+#: Factors from the moments ``T`` to the moment stack ``m`` of the tests: 1 on ``R``, 2 on
+#: ``g``, ``h`` and ``p``.
+_DOUBLED = np.pad(np.ones((3, 3)), (0, 1), constant_values=2.0)[..., None]
+
+
+def moment_stack(t):
+    """The moment stack ``m`` ``(4, 4, n)`` of the moments ``T`` ``(n, 4, 4)``: ``m[:3, :3] =
+    R``, ``m[:3, 3] = 2g``, ``m[3, :3] = 2h``, ``m[3, 3] = 2p``."""
+    return t.transpose(1, 2, 0) * _DOUBLED
 
 
 # ------------------------------------------------------------ bell_value
@@ -196,7 +212,7 @@ def test_seesaw_draws_each_start_when_its_restart_runs(monkeypatch):
         problems = [(EXAMPLE_STATE, 2, SeesawConfig(restarts=restarts, seed=seed))
                     for seed in seeds]
         with pytest.raises(RuntimeError, match="first ascent"):
-            _seesaw_batch(problems)
+            seesaw_batch(problems)
         assert len(draws) == len(seeds)
         assert max(draws.values()) <= 4 * seesaw._CHUNK_ROWS
     with pytest.raises(RuntimeError, match="first ascent"):
@@ -239,7 +255,7 @@ def test_seesaw_ascent_monotone(monkeypatch):
         newton_runs.clear()
         returned.clear()
         state = sampling.mixed_density(rng, n)
-        _seesaw_batch([(state, k, cfg) for k in range(1, n + 1)])
+        seesaw_batch([(state, k, cfg) for k in range(1, n + 1)])
         (final, used, converged, _), = returned  # one chunk
         values = np.array(history)
         assert values.shape[0] <= seesaw._SEESAW_ITERS + 1 and values.shape[1] == 4 * n
@@ -451,7 +467,8 @@ def test_best_k_fallback_runs_only_ks_that_can_win(monkeypatch):
         stage2 = [row.settings.k for _, rows in rest for row in rows]
         assert stage2 == sorted(stage2)
         ran = {row.settings.k: row for _, rows in calls for row in rows}
-        bounds = _upper_bounds(state, scan_k(state))
+        reports = scan_k(state)
+        bounds = _upper_bounds(seesaw._moments([(state, rep.k) for rep in reports]), reports)
         assert lead.settings.k == np.argmax(bounds) + 1
         assert fallback.method == "oracle"
         assert fallback.value == max(row.value for row in ran.values())
@@ -476,7 +493,7 @@ def test_pruned_best_k_matches_all_k_reference(monkeypatch):
                 reports = scan_k(state)
                 calls.clear()
                 pruned = best_k(state, cfg, reports)
-                everything = _seesaw_batch([(state, rep.k, cfg) for rep in reports])
+                everything = seesaw_batch([(state, rep.k, cfg) for rep in reports])
                 reference = max(map(oracle_report, reports, everything), key=lambda r: r.value)
                 assert pruned == reference
                 chosen, = (row for _, rows in calls for row in rows if row.settings.k == pruned.k)
@@ -489,12 +506,27 @@ def test_pruned_best_k_matches_all_k_reference(monkeypatch):
 
 def test_best_k_sends_few_problems_to_the_see_saw(monkeypatch):
     # On fixed seeded odd-N densities the bound leaves well under half of the
-    # N problems per state to the see-saw: one lead, and few others.
-    calls = _record_batches(monkeypatch)
+    # N problems per state to the see-saw: one lead, and few others. Given its
+    # closed-form reports, best_k computes the moments of its ks once, for the
+    # bounds and both see-saw batches.
+    calls, moments = _record_batches(monkeypatch), []
+
+    def counted(moments_of):
+        def wrapper(problems):
+            moments.append(len(problems))
+            return moments_of(problems)
+        return wrapper
+
+    for module in (violation, seesaw):
+        monkeypatch.setattr(module, "_moments", counted(module._moments))
     rng = np.random.default_rng(61)
     sizes = (3, 5, 7) * 6
     for seed, n in enumerate(sizes):
-        assert best_k(sampling.mixed_density(rng, n), SeesawConfig(seed=seed)).method == "oracle"
+        state = sampling.mixed_density(rng, n)
+        reports = scan_k(state)
+        moments.clear()
+        assert best_k(state, SeesawConfig(seed=seed), reports).method == "oracle"
+        assert moments == [n]
     sent = sum(len(problems) for problems, _ in calls)
     assert sent == 24
     assert sent < sum(sizes) / 2
@@ -517,11 +549,11 @@ def test_seesaw_chunks_match_one_batch(monkeypatch):
              (sampling.schmidt_state(rng, 3), [3], True))
     for state, ks, constrain_y in cases:
         problems = [(state, k, cfg) for k in ks]
-        whole = _seesaw_batch(problems, constrain_y)
+        whole = seesaw_batch(problems, constrain_y)
         monkeypatch.setattr(seesaw, "_CHUNK_ROWS", 5)
         monkeypatch.setattr(seesaw, "_climb", counting_climb)
         chunks.clear()
-        chunked = _seesaw_batch(problems, constrain_y)
+        chunked = seesaw_batch(problems, constrain_y)
         monkeypatch.undo()
         assert len(chunks) >= 2
         for first, second in zip(whole, chunked, strict=True):
@@ -555,7 +587,7 @@ def test_heterogeneous_batch_rows_equal_single_problem_calls(monkeypatch):
     runs = ((problems, False), (problems, True), (mixed, flags))
     for switch, (batch_problems, constrain_y) in itertools.product((3, seesaw._SEESAW_ITERS), runs):
         monkeypatch.setattr(seesaw, "_SEESAW_ITERS", switch)  # 3: most rows take Newton steps
-        batch = _seesaw_batch(batch_problems, constrain_y)
+        batch = seesaw_batch(batch_problems, constrain_y)
         row_flags = np.broadcast_to(constrain_y, len(batch_problems)).tolist()
         for (state, k, cfg), flag, row in zip(batch_problems, row_flags, batch, strict=True):
             assert (row.settings.k, row.restarts_used) == (k, cfg.restarts)
@@ -564,8 +596,8 @@ def test_heterogeneous_batch_rows_equal_single_problem_calls(monkeypatch):
                 assert all(getattr(row.settings, name)[1] == 0.0
                            for name in ("a1", "a2", "b1", "b2"))
     with pytest.raises(ValueError, match="differ only in seed"):
-        _seesaw_batch([(EXAMPLE_STATE, 2, SeesawConfig(restarts=4)),
-                       (EXAMPLE_STATE, 2, SeesawConfig(restarts=5))])
+        seesaw_batch([(EXAMPLE_STATE, 2, SeesawConfig(restarts=4)),
+                      (EXAMPLE_STATE, 2, SeesawConfig(restarts=5))])
 
 
 def test_newton_stack_matches_each_row(monkeypatch):
@@ -582,7 +614,7 @@ def test_newton_stack_matches_each_row(monkeypatch):
     rng = np.random.default_rng(43)
     problems = [(sampling.mixed_density(rng, n), k, SeesawConfig(restarts=6, seed=n))
                 for n in (3, 4, 5) for k in range(1, n + 1)]
-    _seesaw_batch(problems)
+    seesaw_batch(problems)
     (*stacks, budget, tol), = calls
     whole = newton(*stacks, budget, tol)
     assert np.count_nonzero(whole[1]) >= 20
@@ -604,7 +636,6 @@ def test_moment_stack_matches_3x3_algebra(monkeypatch):
     n = 50
     t = rng.normal(size=(n, 4, 4))
     r, g, h, p = t[:, :3, :3], t[:, :3, 3], t[:, 3, :3], t[:, 3, 3]
-    m = t.transpose(1, 2, 0) * seesaw._DOUBLED
     a, b = (seesaw._unit(rng.normal(size=(3, 2, n)), 0.0) for _ in range(2))
     (a1, a2), (b1, b2) = a.transpose(1, 2, 0), b.transpose(1, 2, 0)  # each (n, 3)
 
@@ -615,13 +646,13 @@ def test_moment_stack_matches_3x3_algebra(monkeypatch):
         np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
 
     rt = r.swapaxes(1, 2)
-    t1, t2 = seesaw._targets(seesaw._Stack.cut(m), a).transpose(1, 2, 0)
+    t1, t2 = seesaw._targets(seesaw._Stack.cut(t), a).transpose(1, 2, 0)
     close(t1, times(rt, a1 + a2) + 2.0 * h)
     close(t2, times(rt, a1 - a2))
-    u, v = seesaw._targets(seesaw._Stack.cut(m), b, 1).transpose(1, 2, 0)
+    u, v = seesaw._targets(seesaw._Stack.cut(t), b, 1).transpose(1, 2, 0)
     close(u, times(r, b1 + b2) + 2.0 * g)
     close(v, times(r, b1 - b2))
-    close(seesaw._surface(seesaw._Stack.cut(m), b)[0],
+    close(seesaw._surface(seesaw._Stack.cut(t), b)[0],
           np.linalg.norm(u, axis=1) + np.linalg.norm(v, axis=1) + 2.0 * np.vecdot(b1, h) + 2.0 * p)
 
     climbed = []
@@ -634,8 +665,9 @@ def test_moment_stack_matches_3x3_algebra(monkeypatch):
     state = sampling.mixed_density(rng, 5)
     cfg = SeesawConfig(restarts=2)
     with pytest.raises(RuntimeError, match="first ascent"):
-        _seesaw_batch([(state, k, cfg) for k in range(1, 6)], constrain_y=True)
+        seesaw_batch([(state, k, cfg) for k in range(1, 6)], constrain_y=True)
     (stack,) = climbed
+    stack = moment_stack(stack)
     for row in range(stack.shape[-1]):
         corr = correlation_data(state, 1 + row // cfg.restarts)
         r, g, h = corr.r.copy(), corr.g.copy(), corr.h.copy()
@@ -646,25 +678,25 @@ def test_moment_stack_matches_3x3_algebra(monkeypatch):
         assert stack[3, 3, row] == 2.0 * corr.p
 
 
-def eager_line_search(m, b, move, euclid, f):
+def eager_line_search(t, b, move, euclid, f):
     """The line search that tries every candidate on every row: each length of
     ``_SCALES``, the full step followed by a see-saw step and the see-saw step. It takes
     the first that raises ``F``, else the see-saw step."""
     tries = seesaw._unit(b[:, :, None] + seesaw._SCALES[:, None] * move[:, :, None], 0.0)
-    uv = seesaw._targets(seesaw._Stack.cut(m), tries[:, :, 0], 1)
+    uv = seesaw._targets(seesaw._Stack.cut(t), tries[:, :, 0], 1)
     a = uv / np.maximum(np.sqrt(seesaw._sum3(uv * uv)), seesaw._NORM_FLOOR)
-    corrected = seesaw._unit(seesaw._targets(seesaw._Stack.cut(m), a), tries[:, :, 0], 1e-300)
+    corrected = seesaw._unit(seesaw._targets(seesaw._Stack.cut(t), a), tries[:, :, 0], 1e-300)
     tries = np.concatenate((tries, corrected[:, :, None],
                             seesaw._unit(euclid, b, 1e-300)[:, :, None]), 2)
     count = tries.shape[2]
-    rises = seesaw._surface(seesaw._Stack.cut(np.tile(m, count)),
+    rises = seesaw._surface(seesaw._Stack.cut(np.tile(t, (count, 1, 1))),
                             tries.reshape(3, 2, -1))[0].reshape(count, -1) > f
     pick = np.where(rises[:-1].any(0), rises[:-1].argmax(0), count - 1)
     return tries[:, :, pick, np.arange(len(pick))], pick
 
 
 def line_search_stacks():
-    """Random ``_line_search`` inputs ``(m, b, move, euclid, f)`` with steps of many sizes,
+    """Random ``_line_search`` inputs ``(t, b, move, euclid, f)`` with steps of many sizes,
     plus rows forced to fail the full step (f at F of the full step) and rows forced to
     fail every length (f = inf) and take the see-saw step."""
     rng = np.random.default_rng(17)
@@ -676,11 +708,12 @@ def line_search_stacks():
         b = seesaw._unit(rng.normal(size=(3, 2, n)), 0.0)
         move = rng.normal(size=(3, 2, n)) * 10.0 ** rng.uniform(-4, 1, size=n)
         euclid = rng.normal(size=(3, 2, n))
-        f = seesaw._surface(seesaw._Stack.cut(m), b)[0]
-        full = seesaw._surface(seesaw._Stack.cut(m), seesaw._unit(b + move, 0.0))[0]
+        t = (m / _DOUBLED).transpose(2, 0, 1)  # halving is exact
+        f = seesaw._surface(seesaw._Stack.cut(t), b)[0]
+        full = seesaw._surface(seesaw._Stack.cut(t), seesaw._unit(b + move, 0.0))[0]
         forced = rng.integers(0, 4, size=n)
         f = np.where(forced == 1, full, np.where(forced == 2, np.inf, f))
-        yield m, b, move, euclid, f
+        yield t, b, move, euclid, f
 
 
 def test_line_search_matches_eager_picks():
@@ -768,8 +801,8 @@ def test_constrained_newton_keeps_y_exactly_zero(monkeypatch):
     states += [sampling.mixed_density(rng, n) for n in (3, 4, 5)]
     cfg = SeesawConfig(restarts=8, seed=3)
     for state in states:
-        results = _seesaw_batch([(state, k, cfg) for k in range(1, state.dim + 1)],
-                                constrain_y=True)
+        results = seesaw_batch([(state, k, cfg) for k in range(1, state.dim + 1)],
+                               constrain_y=True)
         for res in results:
             for name in ("a1", "a2", "b1", "b2"):
                 assert getattr(res.settings, name)[1] == 0.0
@@ -833,7 +866,7 @@ def test_cold_start_matches_closed_form():
             problems.append((sampling.mixed_density(rng, n), 1, int(rng.integers(2**31))))
     problems = [(state, k, SeesawConfig(restarts=8, max_iters=600, tol=1e-11, seed=seed))
                 for state, k, seed in problems]
-    oracle = np.array([res.value for res in _seesaw_batch(problems)])
+    oracle = np.array([res.value for res in seesaw_batch(problems)])
     closed = np.array([max_violation_closed_form(state, k).value for state, k, _ in problems])
     assert np.max(np.abs(oracle - closed)) <= 1e-8
 
@@ -843,13 +876,13 @@ def test_verify_batches_match_per_problem_calls(monkeypatch):
     # records, and every oracle result, equal those of one call per case.
     from bellmax import verify
 
-    def per_problem(problems, constrain_y=False):
+    def per_problem(problems, t, constrain_y=False):
         return [seesaw_maximize(state, k, cfg, constrain_y=flag)
                 for (state, k, cfg), flag in zip(problems, constrain_y, strict=True)]
 
     def recording(oracle, results):
-        def run(problems, constrain_y=False):
-            results.extend(oracle(problems, constrain_y))
+        def run(problems, t, constrain_y=False):
+            results.extend(oracle(problems, t, constrain_y))
             return results[len(results) - len(problems):]
         return run
 
@@ -1158,7 +1191,7 @@ def _reference_climb(m: np.ndarray, starts: np.ndarray, cfg: SeesawConfig):
 
 
 def climb_stacks(rng, n):
-    """A moment stack ``(4, 4, n)`` and starts ``(3, 4, n)`` for ``_climb``, the rows cycling
+    """Moments ``T`` ``(n, 4, 4)`` and starts ``(3, 4, n)`` for ``_climb``, the rows cycling
     over the problems of random densities at every k. Every 7th row has ``R = 0`` and ``g = 0``,
     so both a-targets are exactly zero and ``_unit`` keeps the old ``a`` in those rows only;
     every 5th row starts with ``b1 = b2``, so its first ``a2`` target is exactly zero; every 3rd
@@ -1166,14 +1199,13 @@ def climb_stacks(rng, n):
     problems = [(sampling.mixed_density(rng, dim), k, None) for dim in (2, 3, 4)
                 for k in range(1, dim + 1)]
     t = seesaw._moments(problems)[np.arange(n) % len(problems)]
-    m = t.transpose(1, 2, 0) * seesaw._DOUBLED
     starts = sampling.unit3_stack(rng, 4 * n).reshape(n, 4, 3).T.copy()
-    m[:3, :, ::7] = 0.0
+    t[::7, :3] = 0.0
     starts[:, 3, ::5] = starts[:, 2, ::5]
-    m[1, :, ::3] = m[:, 1, ::3] = 0.0
+    t[::3, 1] = t[::3, :, 1] = 0.0
     starts[1, :, ::3] = 0.0
     starts[:, :, ::3] = _reference_unit(starts[:, :, ::3], _AXIS_FALLBACKS.T[..., None])
-    return m, starts
+    return t, starts
 
 
 def test_climb_keeps_reference_bits():
@@ -1183,11 +1215,12 @@ def test_climb_keeps_reference_bits():
     rng = np.random.default_rng(97)
     newton_rows = 0
     for n in (1, 4, 32, 144, 1025):
-        m, starts = climb_stacks(rng, n)
+        t, starts = climb_stacks(rng, n)
+        m = moment_stack(t)
         for max_iters, tol in itertools.product((1, 2, 30, 31, 1000), (1e-14, 1e-10, 1e-3)):
             cfg = SeesawConfig(max_iters=max_iters, tol=tol)
             expected = _reference_climb(m, starts, cfg)
-            got = seesaw._climb(m.copy(), starts.copy(), cfg)
+            got = seesaw._climb(t.copy(), starts.copy(), cfg)
             for first, second in zip(got, expected, strict=True):
                 assert first.dtype == second.dtype and first.shape == second.shape
                 assert first.tobytes() == second.tobytes()

@@ -441,8 +441,10 @@ def test_upper_bounds_cap_every_k():
     crossed = 0
     for state in states:
         reports = scan_k(state)
-        bounds = violation._upper_bounds(state, reports)
-        oracle = seesaw._seesaw_batch([(state, rep.k, cfg) for rep in reports])
+        problems = [(state, rep.k, cfg) for rep in reports]
+        t = violation._moments(problems)
+        bounds = violation._upper_bounds(t, reports)
+        oracle = seesaw._seesaw_batch(problems, t)
         for rep, bound, res in zip(reports, bounds.tolist(), oracle, strict=True):
             corr = correlation_data(state, rep.k)
             assert res.value <= bound + 1e-12
